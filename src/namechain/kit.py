@@ -23,10 +23,11 @@ event           static text, one field per line: tag= (repeatable),
 user            "host:port <32 hex>" (user database, user id); maps
                 "email" and "files" by interpreting the fetched record
 
-Location and calendar resolution happens on the hosting server (their
-client resolvers forward one step over the wire).  The user database has
-no resolution support of its own, so the user type's resolver fetches
-the record and maps local names client-side.
+Location and calendar resolution happens on the hosting server: their
+client resolver is the remote proxy, which forwards the rest of the name
+over the wire in one request.  The user database has no resolution
+support of its own, so the user type's resolver fetches the record and
+maps local names client-side.
 
 Validity policy: static data lives 24 hours, calendar period names until
 the period ends, time-period tag lookups until the event starts (at
@@ -43,10 +44,8 @@ from typing import Callable, Optional
 from . import wire
 from .names import (
     LocalName,
-    Name,
     NameSyntaxError,
     _TOKEN_RE,
-    _build,
     parse_resource_literal,
     serialize_resource_literal,
 )
@@ -68,17 +67,6 @@ CALENDAR_TYPE = derive_type_id("namechain.type.calendar.v1")
 TIME_PERIOD_TYPE = derive_type_id("namechain.type.time-period.v1")
 EVENT_TYPE = derive_type_id("namechain.type.event.v1")
 USER_TYPE = derive_type_id("namechain.type.user.v1")
-
-KIT_TYPE_DESCRIPTORS = (
-    "namechain.type.string.v1",
-    "namechain.type.file.v1",
-    "namechain.type.file-collection.v1",
-    "namechain.type.location.v1",
-    "namechain.type.calendar.v1",
-    "namechain.type.time-period.v1",
-    "namechain.type.event.v1",
-    "namechain.type.user.v1",
-)
 
 ENTITY_ID_LENGTH = wire.ENTITY_ID_LENGTH
 
@@ -469,39 +457,6 @@ class CalendarResolver:
         return time_period_description(self.server_address, start, end), Validity(end)
 
 
-class LocationProxyResolver:
-    """Client side of a location: one resolution step over the wire."""
-
-    def __init__(self, manager_address: str, location_id: bytes, timeout: float) -> None:
-        self.manager_address = manager_address
-        self.location_id = location_id
-        self.timeout = timeout
-
-    def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
-        resolution = wire.resolve_remote(
-            self.manager_address, self.location_id, _single(local), self.timeout
-        )
-        return resolution.description, resolution.validity
-
-
-class CalendarProxyResolver:
-    """Client side of a calendar: one resolution step over the wire."""
-
-    def __init__(self, server_address: str, timeout: float) -> None:
-        self.server_address = server_address
-        self.timeout = timeout
-
-    def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
-        resolution = wire.resolve_remote(
-            self.server_address, CALENDAR_RESOURCE_ID, _single(local), self.timeout
-        )
-        return resolution.description, resolution.validity
-
-
-def _single(local: LocalName) -> Name:
-    return _build(Name, {"locals": (local,)})
-
-
 class LocationStateResolver:
     """Native occupant binding, backed by live occupancy state.
 
@@ -610,12 +565,12 @@ def build_registry(
     def file_set_factory(spec: bytes) -> FileSetResolver:
         return FileSetResolver(parse_file_set_spec(spec), clock)
 
-    def location_factory(spec: bytes) -> LocationProxyResolver:
+    def location_factory(spec: bytes) -> wire.RemoteResolver:
         address, location_id = wire.parse_addr_id_spec(spec, LOCATION_TYPE)
-        return LocationProxyResolver(address, location_id, timeout)
+        return wire.RemoteResolver(address, location_id, timeout)
 
-    def calendar_factory(spec: bytes) -> CalendarProxyResolver:
-        return CalendarProxyResolver(parse_calendar_spec(spec), timeout)
+    def calendar_factory(spec: bytes) -> wire.RemoteResolver:
+        return wire.RemoteResolver(parse_calendar_spec(spec), CALENDAR_RESOURCE_ID, timeout)
 
     def time_period_factory(spec: bytes) -> TimePeriodResolver:
         address, start, end = parse_time_period_spec(spec)

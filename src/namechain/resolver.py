@@ -77,20 +77,22 @@ class Resolution:
 
 
 class ResolutionError(Exception):
-    """Base class for failures of the resolution process."""
+    """Base class for failures of the resolution process.
 
+    Every failure carries an optional free-text detail and the chain step
+    (0-based) it occurred at, when known.  Subclasses supply the headline;
+    str() gives ``<headline>[ (detail)][ at step N]``.
+    """
 
-class NotBoundError(ResolutionError):
-    """A resource has no binding for the requested local name."""
+    headline = "resolution failed"
 
-    def __init__(self, local: str, detail: str = "", step: Optional[int] = None) -> None:
+    def __init__(self, detail: str = "", step: Optional[int] = None) -> None:
         super().__init__()
-        self.local = local
         self.detail = detail
         self.step = step
 
     def __str__(self) -> str:
-        msg = f"no binding for {self.local!r}"
+        msg = self.headline
         if self.detail:
             msg += f" ({self.detail})"
         if self.step is not None:
@@ -98,51 +100,50 @@ class NotBoundError(ResolutionError):
         return msg
 
 
+class NotBoundError(ResolutionError):
+    """A resource has no binding for the requested local name."""
+
+    def __init__(self, local: str, detail: str = "", step: Optional[int] = None) -> None:
+        super().__init__(detail, step)
+        self.local = local
+
+    @property
+    def headline(self) -> str:
+        return f"no binding for {self.local!r}"
+
+
 class UnknownTypeError(ResolutionError):
     """No registered factory can resolve names from the intermediate resource."""
 
-    def __init__(self, type_id: bytes, step: Optional[int] = None) -> None:
-        super().__init__()
+    def __init__(self, type_id: bytes, detail: str = "", step: Optional[int] = None) -> None:
+        super().__init__(detail, step)
         self.type_id = type_id
-        self.step = step
 
-    def __str__(self) -> str:
-        msg = f"cannot resolve names from resource of unknown type {self.type_id.hex()}"
-        if self.step is not None:
-            msg += f" at step {self.step}"
-        return msg
+    @property
+    def headline(self) -> str:
+        return f"cannot resolve names from resource of unknown type {self.type_id.hex()}"
 
 
 class DepthExceededError(ResolutionError):
     """Resolution did not finish within the configured step budget."""
 
-    def __init__(self, max_depth: Optional[int] = None, detail: str = "") -> None:
-        super().__init__()
+    def __init__(
+        self, max_depth: Optional[int] = None, detail: str = "", step: Optional[int] = None
+    ) -> None:
+        super().__init__(detail, step)
         self.max_depth = max_depth
-        self.detail = detail
 
-    def __str__(self) -> str:
-        msg = "resolution exceeded the maximum step count"
-        if self.max_depth is not None:
-            msg += f" ({self.max_depth})"
-        if self.detail:
-            msg += f": {self.detail}"
-        return msg
+    @property
+    def headline(self) -> str:
+        if self.max_depth is None:
+            return "resolution exceeded the maximum step count"
+        return f"resolution exceeded the maximum step count of {self.max_depth}"
 
 
 class TransportError(ResolutionError):
     """A networked resource could not be reached or answered garbage."""
 
-    def __init__(self, detail: str, step: Optional[int] = None) -> None:
-        super().__init__()
-        self.detail = detail
-        self.step = step
-
-    def __str__(self) -> str:
-        msg = f"transport failure: {self.detail}"
-        if self.step is not None:
-            msg += f" at step {self.step}"
-        return msg
+    headline = "transport failure"
 
 
 @runtime_checkable
@@ -188,7 +189,7 @@ class _Budget:
 
 
 def _stamp_step(exc: ResolutionError, step: int) -> None:
-    if getattr(exc, "step", None) is None and hasattr(exc, "step"):
+    if exc.step is None:
         exc.step = step
 
 
@@ -251,10 +252,10 @@ def _dispatch(
             # the same procedure itself and anchors any remaining name-valued
             # attributes to itself, which is exactly the initial resource's
             # role from here on.
-            budget.spend()
             if chain is not name.locals:
                 name = _build(Name, {"locals": chain})
             try:
+                budget.spend()
                 resolution = resolve_name(name)
             except ResolutionError as exc:
                 _stamp_step(exc, step)
@@ -266,8 +267,8 @@ def _dispatch(
             name = _literalize(ctx, name, budget)
             chain = name.locals
             pre_resolved = True
-        budget.spend()
         try:
+            budget.spend()
             description, step_validity = resolver.resolve_local(chain[0])
         except ResolutionError as exc:
             _stamp_step(exc, step)

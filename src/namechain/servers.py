@@ -106,6 +106,7 @@ class RoleServer(socketserver.ThreadingTCPServer):
         self.stats: Counter[str] = Counter()
         self._stats_lock = threading.Lock()
         self._state_lock = threading.RLock()
+        self._handlers = self._verbs()
 
     @property
     def address(self) -> str:
@@ -123,9 +124,11 @@ class RoleServer(socketserver.ThreadingTCPServer):
 
     def process_line(self, line: str) -> list[str]:
         verb, _, rest = line.partition(" ")
+        handler = self._handlers.get(verb)
+        # Unsupported verbs share one counter, so hostile input cannot
+        # grow the table.
         with self._stats_lock:
-            self.stats[verb] += 1
-        handler = self._verbs().get(verb)
+            self.stats[verb if handler is not None else "?"] += 1
         if handler is None:
             return [wire.error_line("BADREQ", f"unsupported verb {verb or '?'}")]
         try:

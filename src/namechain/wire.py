@@ -342,9 +342,11 @@ def query_events(
 class RemoteResolver:
     """Proxy for a resource hosted by an element with native resolution.
 
-    Specification: ``host:port <resource-id-hex>``.  Whole names are
-    forwarded in one RESOLVE; the remote element runs the resolution
-    procedure itself and already returns the intersected validity.
+    The remote type (specification ``host:port <resource-id-hex>``) and
+    the kit's location and calendar types all resolve through it.  Whole
+    names are forwarded in one RESOLVE; the remote element runs the
+    resolution procedure itself and already returns the intersected
+    validity.
     """
 
     def __init__(self, address: str, resource_id: bytes, timeout: float = DEFAULT_TIMEOUT) -> None:

@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -192,7 +194,7 @@ def test_public_constructors_still_validate(build):
 
 # --- generated round-trips
 
-tokens = st.from_regex(r"[A-Za-z0-9._-]{1,10}", fullmatch=True)
+tokens = st.text(alphabet=string.ascii_letters + string.digits + "._-", min_size=1, max_size=10)
 descriptions = st.builds(
     ResourceDescription,
     st.binary(min_size=32, max_size=32),
@@ -201,23 +203,24 @@ descriptions = st.builds(
 
 
 def _names_strategy():
-    values = st.deferred(
-        lambda: st.one_of(
-            st.builds(StringValue, tokens),
-            st.builds(ResourceValue, descriptions),
-            st.builds(NameValue, names),
+    def names_over(values):
+        local_names = st.builds(
+            lambda primary, attrs: LocalName(primary, tuple(attrs.items())),
+            tokens,
+            st.dictionaries(tokens, values, max_size=3),
         )
+        return st.builds(
+            lambda locals_: Name(tuple(locals_)),
+            st.lists(local_names, min_size=1, max_size=4),
+        )
+
+    literals = st.one_of(st.builds(StringValue, tokens), st.builds(ResourceValue, descriptions))
+    # max_leaves bounds the nesting, which keeps generation fast
+    return st.recursive(
+        names_over(literals),
+        lambda inner: names_over(st.one_of(literals, st.builds(NameValue, inner))),
+        max_leaves=12,
     )
-    local_names = st.builds(
-        lambda primary, attrs: LocalName(primary, tuple(attrs.items())),
-        tokens,
-        st.dictionaries(tokens, values, max_size=3),
-    )
-    names = st.builds(
-        lambda locals_: Name(tuple(locals_)),
-        st.lists(local_names, min_size=1, max_size=4),
-    )
-    return names
 
 
 @given(_names_strategy())

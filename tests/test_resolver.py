@@ -9,7 +9,9 @@ from namechain.resolver import (
     NegativeDurationError,
     NotBoundError,
     Resolution,
+    ResolutionError,
     ResolveContext,
+    TransportError,
     UnknownTypeError,
     Validity,
     intersect,
@@ -111,6 +113,35 @@ def test_cycle_terminates_with_depth_exceeded():
     with pytest.raises(DepthExceededError) as excinfo:
         resolve(_ctx(graph, "a", max_depth=32), name)
     assert excinfo.value.max_depth == 32
+
+
+def test_depth_exceeded_carries_the_step():
+    graph = Graph({"a": {"x": "b"}, "b": {"y": "a"}})
+    name = Name(tuple(LocalName("x" if i % 2 == 0 else "y") for i in range(100)))
+    with pytest.raises(DepthExceededError) as excinfo:
+        resolve(_ctx(graph, "a", max_depth=32), name)
+    # steps 0-31 spent the budget; step 32 found it empty
+    assert excinfo.value.step == 32
+    assert str(excinfo.value).endswith(" at step 32")
+
+
+@pytest.mark.parametrize(
+    "error,headline",
+    [
+        (NotBoundError("x", "why", step=3), "no binding for 'x'"),
+        (
+            UnknownTypeError(b"\x01" * 32, "why", step=3),
+            "cannot resolve names from resource of unknown type " + "01" * 32,
+        ),
+        (DepthExceededError(32, "why", step=3), "resolution exceeded the maximum step count of 32"),
+        (TransportError("why", step=3), "transport failure"),
+    ],
+)
+def test_errors_share_one_format(error, headline):
+    assert type(error).__str__ is ResolutionError.__str__
+    assert str(error) == f"{headline} (why) at step 3"
+    error.detail, error.step = "", None
+    assert str(error) == headline
 
 
 def test_depth_budget_counts_attribute_resolution():

@@ -39,10 +39,12 @@ def test_type_descriptors_digest_as_frozen():
         assert derive_type_id(descriptor).hex() == digest
 
 
-def test_kit_descriptors_are_distinct():
-    ids = {derive_type_id(d) for d in kit.KIT_TYPE_DESCRIPTORS}
-    assert len(ids) == len(kit.KIT_TYPE_DESCRIPTORS) == 8
-    assert wire.REMOTE_TYPE not in ids
+def test_kit_registers_ten_distinct_types():
+    # register refuses a duplicate id, so ten ids are ten distinct types
+    ids = kit.build_registry().type_ids()
+    assert len(ids) == 10
+    assert wire.REMOTE_TYPE in ids and kit.FILE_SET_TYPE in ids
+    assert {derive_type_id(d) for d in FROZEN_TYPE_IDS} <= ids
 
 
 def test_derive_type_id_is_deterministic_and_fixed_length():

@@ -83,7 +83,9 @@ def test_userdb_sees_only_getuser_across_all_scenarios(deployment):
 def _all_in_process_ctx(dep, registry=None):
     cfg = dep.cfg
     registry = registry or kit.build_registry(dep.clock, cfg.addresses["userdb"])
-    initial = registry.instantiate(kit.calendar_description(cfg.addresses["calendar"]))
+    # The calendar's own namespace, run by the consumer: a calendar
+    # description would instead delegate the whole chain to the server.
+    initial = kit.CalendarResolver(cfg.addresses["calendar"], dep.clock)
     return ResolveContext(registry=registry, initial=initial, clock=dep.clock)
 
 
@@ -91,11 +93,23 @@ def test_all_in_process_configuration_drives_the_recursion_itself(deployment):
     ctx = _all_in_process_ctx(deployment)
     resolution = resolve(ctx, parse_name(SCENARIO_1))
     assert resolution.description == _expected_final(deployment, 1)
-    # the consumer did the walking: one RESOLVE for today, an EVENTS
+    # the consumer did the walking: today resolved in process, an EVENTS
     # query for the period, a GETUSER for the moderator
-    assert deployment.servers["calendar"].request_count("RESOLVE") == 1
+    assert deployment.servers["calendar"].request_count("RESOLVE") == 0
     assert deployment.servers["calendar"].request_count("EVENTS") == 1
     assert deployment.servers["userdb"].request_count("GETUSER") == 1
+
+
+def test_calendar_description_delegates_the_whole_chain(deployment):
+    cfg = deployment.cfg
+    registry = kit.build_registry(deployment.clock, cfg.addresses["userdb"])
+    initial = registry.instantiate(kit.calendar_description(cfg.addresses["calendar"]))
+    ctx = ResolveContext(registry=registry, initial=initial, clock=deployment.clock)
+    resolution = resolve(ctx, parse_name(SCENARIO_1))
+    assert resolution.description == _expected_final(deployment, 1)
+    # one RESOLVE carries the whole name; the server walks the events itself
+    assert deployment.servers["calendar"].request_count("RESOLVE") == 1
+    assert deployment.servers["calendar"].request_count("EVENTS") == 0
 
 
 @pytest.mark.parametrize(

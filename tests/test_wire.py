@@ -110,6 +110,14 @@ def test_unknown_verb_is_badreq(deployment):
     assert response.startswith(b"ERR BADREQ")
 
 
+def test_unsupported_verbs_share_one_counter(deployment):
+    server = deployment.servers["calendar"]
+    for i in range(1000):
+        assert server.process_line(f"BOGUS{i} x")[0].startswith("ERR BADREQ")
+    assert len(server.stats) <= 2
+    assert server.request_count() == 1000
+
+
 def test_bad_entity_id_is_badreq(deployment):
     response = _raw_request(deployment.cfg.addresses["location"], b"OCCUPANCY xyz\n")
     assert response.startswith(b"ERR BADREQ")
