@@ -4,6 +4,8 @@ Entries expire with the validity period of the cached mapping: a stored
 resolution is served only while the clock is strictly before its expiry
 instant.  When the cache is full, the entry closest to expiring is
 evicted first, since long-lived mappings are the ones worth keeping.
+The eviction order lives in a binary heap beside the entries, so a put
+costs O(log n) in the number of entries, not a scan over all of them.
 
 Keys are the canonical serialization of the name exactly as the consumer
 wrote it.  Name-valued attributes make that text context-dependent, so a
@@ -13,6 +15,7 @@ lookups can be answered without repeating slow resolution work.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from typing import Optional
 
@@ -32,6 +35,11 @@ class NameCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._entries: dict[str, Resolution] = {}
+        # One (expires_at, key) record per put.  A record whose key has
+        # since been re-put, expired or cleared no longer matches its entry
+        # and is skipped when popped; the heap is rebuilt from the entries
+        # once stale records take it past twice the capacity.
+        self._heap: list[tuple[int, str]] = []
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -52,20 +60,31 @@ class NameCache:
 
     def put(self, name: Name, resolution: Resolution, now: int) -> None:
         """Store a resolution; already-expired ones are silently ignored."""
-        if now >= resolution.validity.expires_at:
+        expires_at = resolution.validity.expires_at
+        if now >= expires_at:
             return
         key = serialize_name(name)
         with self._lock:
-            if key not in self._entries and len(self._entries) >= self.capacity:
-                # Earliest-expiring entry goes first; key breaks ties so
-                # eviction stays deterministic.
-                victim = min(self._entries, key=lambda k: (self._entries[k].validity.expires_at, k))
-                del self._entries[victim]
-            self._entries[key] = resolution
+            entries, heap = self._entries, self._heap
+            if key not in entries and len(entries) >= self.capacity:
+                # Earliest-expiring live entry goes first; key breaks ties
+                # so eviction stays deterministic.
+                while True:
+                    victim_expiry, victim = heapq.heappop(heap)
+                    entry = entries.get(victim)
+                    if entry is not None and entry.validity.expires_at == victim_expiry:
+                        del entries[victim]
+                        break
+            entries[key] = resolution
+            heapq.heappush(heap, (expires_at, key))
+            if len(heap) > 2 * self.capacity:
+                heap[:] = [(e.validity.expires_at, k) for k, e in entries.items()]
+                heapq.heapify(heap)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._heap.clear()
 
 
 def cached_resolve(ctx: ResolveContext, cache: NameCache, name: Name) -> Resolution:

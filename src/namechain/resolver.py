@@ -193,22 +193,33 @@ def _stamp_step(exc: ResolutionError, step: int) -> None:
         exc.step = step
 
 
-def _literalize(ctx: ResolveContext, name: Name, budget: _Budget) -> Name:
+def _literalize(
+    ctx: ResolveContext, name: Name, budget: _Budget, step: Optional[int] = None
+) -> Name:
     """Replace every name-valued attribute with the description it resolves to.
 
-    A name with no name-valued attribute comes back as it is.
+    A name with no name-valued attribute comes back as it is.  When `name`
+    is the chain being resolved from chain step `step` on, a failure inside
+    the attributes of its i-th local name, however deeply nested, carries
+    step + i: the step of the local name that holds the attribute.
     """
     out_locals = []
     changed = False
     for local in name.locals:
         if local.attributes and any(isinstance(value, NameValue) for _, value in local.attributes):
             new_attrs = []
-            for label, value in local.attributes:
-                if isinstance(value, NameValue):
-                    inner = _literalize(ctx, value.name, budget)
-                    resolved = _dispatch(ctx, ctx.initial, inner, 0, budget, pre_resolved=True)
-                    value = ResourceValue(resolved.description)
-                new_attrs.append((label, value))
+            try:
+                for label, value in local.attributes:
+                    if isinstance(value, NameValue):
+                        inner = _literalize(ctx, value.name, budget)
+                        resolved = _dispatch(ctx, ctx.initial, inner, 0, budget, pre_resolved=True)
+                        value = ResourceValue(resolved.description)
+                    new_attrs.append((label, value))
+            except ResolutionError as exc:
+                if step is not None:
+                    # out_locals holds the local names before this one
+                    exc.step = step + len(out_locals)
+                raise
             local = _build(LocalName, {"primary": local.primary, "attributes": tuple(new_attrs)})
             changed = True
         out_locals.append(local)
@@ -264,7 +275,7 @@ def _dispatch(
                 return resolution
             return Resolution(resolution.description, intersect(validity, resolution.validity))
         if not pre_resolved:
-            name = _literalize(ctx, name, budget)
+            name = _literalize(ctx, name, budget, step)
             chain = name.locals
             pre_resolved = True
         try:

@@ -159,6 +159,10 @@ def raise_wire_error(code: str, detail: str) -> None:
 
 # --- pooled client connections
 
+class _PeerClosed(ConnectionError):
+    """The peer closed the connection before the line began."""
+
+
 class _Conn:
     __slots__ = ("sock", "rfile")
 
@@ -175,7 +179,7 @@ class _Conn:
     def recv_line(self) -> str:
         raw = self.rfile.readline(MAX_LINE_BYTES + 1)
         if not raw:
-            raise ConnectionError("connection closed by peer")
+            raise _PeerClosed("connection closed by peer")
         if not raw.endswith(b"\n"):
             if len(raw) > MAX_LINE_BYTES:
                 raise TransportError("response line too long")
@@ -250,20 +254,29 @@ def _roundtrip(
     """Send one request line; return (first response fields, extra lines)."""
     for attempt in (0, 1):
         conn, reused = _pool.acquire(address, timeout)
+        fields: Optional[list[str]] = None
         try:
             conn.send_line(request)
-            first = conn.recv_line()
-            fields = first.split(" ")
+            fields = conn.recv_line().split(" ")
             extras: list[str] = []
-            if fields and fields[0] == "OK" and extra_count is not None:
+            if fields[0] == "OK" and extra_count is not None:
                 for _ in range(extra_count(fields)):
                     extras.append(conn.recv_line())
             _pool.release(address, conn)
             return fields, extras
-        except (OSError, ConnectionError) as exc:
+        except OSError as exc:
             conn.close()
-            # A pooled connection may have gone stale; retry once fresh.
-            if reused and attempt == 0:
+            # A pooled connection the peer closed while it sat idle fails
+            # with a reset, a broken pipe or EOF before any response byte.
+            # Only that is retried, once, on a fresh connection; after a
+            # timeout or a cut-off response the peer may still be acting
+            # on the request, so it is not sent again.
+            if (
+                reused
+                and attempt == 0
+                and fields is None
+                and isinstance(exc, (BrokenPipeError, ConnectionResetError, _PeerClosed))
+            ):
                 continue
             raise TransportError(f"request to {address} failed: {exc}") from None
         except TransportError:

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from conftest import Graph, node_description
 
 from namechain.cache import NameCache, cached_resolve
-from namechain.names import LocalName, Name, parse_name
+from namechain.names import LocalName, Name, parse_name, serialize_name
 from namechain.resolver import Resolution, ResolveContext, Validity
 
 T0 = 1_754_640_000_000
@@ -164,6 +165,58 @@ def test_cached_resolve_is_transparent_and_saves_work(fake_clock):
     assert refreshed.validity.expires_at == fake_clock() + 1_000
 
 
+class _LinearScanCache:
+    """Reference policy: on overflow, evict min((expires_at, key)) by a scan."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.expiries: dict[str, int] = {}
+
+    def get(self, key: str, now: int) -> None:
+        if key in self.expiries and now >= self.expiries[key]:
+            del self.expiries[key]
+
+    def put(self, key: str, expires_at: int, now: int) -> None:
+        if now >= expires_at:
+            return
+        if key not in self.expiries and len(self.expiries) >= self.capacity:
+            del self.expiries[min(self.expiries, key=lambda k: (self.expiries[k], k))]
+        self.expiries[key] = expires_at
+
+
+def _compare_with_linear_scan(rng) -> None:
+    capacity = rng.randint(1, 12)
+    names = [_name(f"k{i}") for i in range(rng.randint(capacity + 1, 3 * capacity + 4))]
+    cache, reference = NameCache(capacity), _LinearScanCache(capacity)
+    now = T0
+    for _ in range(1_000):
+        name = rng.choice(names)
+        key = serialize_name(name)
+        op = rng.random()
+        if op < 0.6:
+            # few distinct expiries, so equal-expiry ties are common
+            expires_at = now + 100 * rng.randint(0, 8)
+            cache.put(name, _resolution(key, expires_at), now=now)
+            reference.put(key, expires_at, now)
+        elif op < 0.9:
+            cache.get(name, now=now)
+            reference.get(key, now)
+        elif op < 0.99:
+            now += 100 * rng.randint(0, 3)
+        else:
+            cache.clear()
+            reference.expiries.clear()
+        assert set(cache._entries) == set(reference.expiries)
+        assert len(cache._heap) <= 2 * capacity
+
+
+def test_eviction_matches_the_linear_scan_policy():
+    import random
+
+    for seed in range(100):
+        _compare_with_linear_scan(random.Random(seed))
+
+
 def test_cache_is_safe_under_concurrent_use():
     cache = NameCache(capacity=16)
     errors = []
@@ -180,9 +233,31 @@ def test_cache_is_safe_under_concurrent_use():
             errors.append(exc)
 
     threads = [threading.Thread(target=hammer, args=(s,)) for s in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     assert not errors
     assert len(cache) <= 16
+
+    # fill up with late entries, then one more put must evict exactly the
+    # earliest-expiring live entry (key breaking ties)
+    for i in range(16 - len(cache)):
+        cache.put(_name(f"late{i}"), _resolution("v", T0 + 1_000 + i), now=T0)
+    live = {}
+    for name in [_name(f"k{i}") for i in range(20)] + [_name(f"late{i}") for i in range(16)]:
+        got = cache.get(name, now=T0)
+        if got is not None:
+            live[serialize_name(name)] = (got.validity.expires_at, name)
+    assert len(live) == len(cache) == 16
+    victim = min(live, key=lambda k: (live[k][0], k))
+    cache.put(_name("newcomer"), _resolution("v", T0 + 5_000), now=T0)
+    assert len(cache) == 16
+    for key, (_, name) in live.items():
+        assert (cache.get(name, now=T0) is None) == (key == victim)

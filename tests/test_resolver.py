@@ -153,6 +153,22 @@ def test_depth_budget_counts_attribute_resolution():
         resolve(_ctx(graph, "a", max_depth=2), name)
 
 
+@pytest.mark.parametrize(
+    "text,step",
+    [
+        ("(x[u=(p missing)] y)", 0),
+        ("(x y[u=(p missing)])", 1),
+        ("(x y[u=(p[v=(p missing)])])", 1),
+    ],
+)
+def test_attribute_errors_carry_the_step_of_the_holding_local_name(text, step):
+    graph = Graph({"a": {"x": "b", "p": "b"}, "b": {"y": "a"}})
+    with pytest.raises(NotBoundError) as excinfo:
+        resolve(_ctx(graph, "a"), parse_name(text))
+    assert excinfo.value.local == "missing"
+    assert excinfo.value.step == step
+
+
 class _RecordingResolver:
     def __init__(self, inner):
         self.inner = inner

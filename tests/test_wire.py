@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -262,3 +263,88 @@ def test_concurrent_resolutions_are_consistent(deployment):
     for t in threads:
         t.join()
     assert not failures
+
+
+# --- retry of pooled connections, against a scripted peer
+
+class _ScriptedPeer:
+    """Loopback peer that answers each GETUSER line as `answer(n)` says.
+
+    `answer` gets the 1-based number of the request line over all
+    connections and returns "reply" (answer it and keep the connection),
+    "close" (answer it, then close the connection) or "silent" (never
+    answer).
+    """
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.lines: list[bytes] = []
+        self.connections = 0
+        self._lock = threading.Lock()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = wire.format_address(*self._listener.getsockname()[:2])
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+        self._threads[0].start()
+
+    def _accept(self):
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return
+            with self._lock:
+                self.connections += 1
+            thread = threading.Thread(target=self._serve, args=(sock,), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, sock):
+        with sock, sock.makefile("rb") as rfile:
+            for line in rfile:
+                with self._lock:
+                    self.lines.append(line)
+                    action = self.answer(len(self.lines))
+                if action == "silent":
+                    continue
+                sock.sendall(b"OK a@example.org file://h/a\n")
+                if action == "close":
+                    return
+
+    def close(self):
+        wire.close_idle_connections()
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self._listener.close()
+        for thread in self._threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+
+def test_pooled_connection_closed_by_its_peer_is_retried_once():
+    peer = _ScriptedPeer(lambda n: "close" if n == 1 else "reply")
+    try:
+        user = b"\x01" * 16
+        assert wire.get_user(peer.address, user, timeout=2) == ("a@example.org", "file://h/a")
+        # the pooled connection is dead now; the second call finds out
+        # before any response byte and sends the request again, fresh
+        assert wire.get_user(peer.address, user, timeout=2) == ("a@example.org", "file://h/a")
+        assert peer.connections == 2
+        assert len(peer.lines) == 2
+    finally:
+        peer.close()
+
+
+def test_pooled_connection_to_a_silent_peer_is_not_retried():
+    peer = _ScriptedPeer(lambda n: "reply" if n == 1 else "silent")
+    timeout = 0.5
+    try:
+        user = b"\x01" * 16
+        wire.get_user(peer.address, user, timeout=timeout)
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            wire.get_user(peer.address, user, timeout=timeout)
+        assert time.monotonic() - start < 2 * timeout
+        time.sleep(0.1)  # a retried request would have been sent by now
+        assert len(peer.lines) == 2
+        assert peer.connections == 1
+    finally:
+        peer.close()
