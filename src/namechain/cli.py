@@ -20,6 +20,7 @@ from . import bench, kit, servers, wire
 from .config import ConfigError, DeploymentConfig, demo_deployment, format_config, load_config
 from .names import NameSyntaxError, parse_name, parse_resource_literal
 from .resolver import ResolutionError, ResolveContext, resolve, system_clock
+from .resources import MalformedSpecError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +97,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             return 1
         ctx = ResolveContext(registry=registry, initial=initial, clock=system_clock)
         resolution = resolve(ctx, name)
-    except ResolutionError as exc:
+    except (ResolutionError, MalformedSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     description = resolution.description
@@ -154,10 +155,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             use_cache=args.cache,
             timeout=args.timeout,
         )
-    except bench.ModeDisagreement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResolutionError as exc:
+    except (bench.ModeDisagreement, ResolutionError, MalformedSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     name_text = bench.SCENARIOS[args.scenario].name_text

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import kit, wire
 from .names import NameSyntaxError, parse_resource_literal, serialize_resource_literal
-from .resources import ResourceDescription
+from .resources import MalformedSpecError, ResourceDescription
 
 
 class ConfigError(Exception):
@@ -97,16 +97,13 @@ class DeploymentConfig:
 
 
 _ROLES = ("userdb", "location", "calendar")
-_ID_HEX_LEN = 2 * wire.ENTITY_ID_LENGTH
 
 
 def _parse_id(value: str, line: int, what: str) -> bytes:
-    if len(value) != _ID_HEX_LEN or value != value.lower():
-        raise ConfigError(line, f"{what} must be {_ID_HEX_LEN} lowercase hex digits")
     try:
-        return bytes.fromhex(value)
-    except ValueError:
-        raise ConfigError(line, f"{what} is not hex") from None
+        return wire.parse_entity_id(value, what)
+    except ValueError as exc:
+        raise ConfigError(line, str(exc)) from None
 
 
 class _Section:
@@ -297,11 +294,12 @@ def _validate(cfg: DeploymentConfig, sections: list[_Section]) -> None:
             raise ConfigError(
                 line, f"event {event.alias!r} names undefined location {event.location!r}"
             )
-        # Surface bad tags and file entries now rather than at serve time.
+        # Decode what the calendar will serve, so that bad tags and file
+        # entries surface now rather than at resolution time.
         try:
-            kit.encode_event_spec(cfg.event_fields(event))
-        except Exception as exc:
-            raise ConfigError(line, f"event {event.alias!r}: {exc}") from None
+            kit.parse_event_spec(kit.encode_event_spec(cfg.event_fields(event)))
+        except MalformedSpecError as exc:
+            raise ConfigError(line, f"event {event.alias!r}: {exc.reason}") from None
 
 
 def load_config(path: str) -> DeploymentConfig:

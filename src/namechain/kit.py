@@ -68,11 +68,9 @@ TIME_PERIOD_TYPE = derive_type_id("namechain.type.time-period.v1")
 EVENT_TYPE = derive_type_id("namechain.type.event.v1")
 USER_TYPE = derive_type_id("namechain.type.user.v1")
 
-ENTITY_ID_LENGTH = wire.ENTITY_ID_LENGTH
-
 # The one calendar a calendar server hosts answers RESOLVE under this
 # well-known resource id.
-CALENDAR_RESOURCE_ID = bytes(ENTITY_ID_LENGTH)
+CALENDAR_RESOURCE_ID = bytes(wire.ENTITY_ID_LENGTH)
 
 DAY_MS = 86_400_000
 STATIC_TTL_MS = DAY_MS
@@ -268,13 +266,10 @@ def parse_event_spec(spec: bytes) -> EventFields:
     for required in ("moderator", "location", "start", "end"):
         if required not in once:
             raise MalformedSpecError(EVENT_TYPE, f"missing field {required!r}")
-    moderator_hex = once["moderator"]
-    if len(moderator_hex) != 2 * ENTITY_ID_LENGTH or moderator_hex != moderator_hex.lower():
-        raise MalformedSpecError(EVENT_TYPE, "moderator must be 32 lowercase hex digits")
     try:
-        moderator = bytes.fromhex(moderator_hex)
-    except ValueError:
-        raise MalformedSpecError(EVENT_TYPE, "moderator is not hex") from None
+        moderator = wire.parse_entity_id(once["moderator"], "moderator")
+    except ValueError as exc:
+        raise MalformedSpecError(EVENT_TYPE, str(exc)) from None
     try:
         location = parse_resource_literal(once["location"])
     except NameSyntaxError as exc:
@@ -528,6 +523,11 @@ def _pretty_user(spec: bytes) -> str:
     return f"user {user_id.hex()} in database at {address}"
 
 
+def _pretty_remote(spec: bytes) -> str:
+    address, resource_id = wire.parse_addr_id_spec(spec, wire.REMOTE_TYPE)
+    return f"remote resource {resource_id.hex()} at {address}"
+
+
 def build_registry(
     clock: Clock = system_clock,
     userdb_address: Optional[str] = None,
@@ -565,9 +565,13 @@ def build_registry(
     def file_set_factory(spec: bytes) -> FileSetResolver:
         return FileSetResolver(parse_file_set_spec(spec), clock)
 
-    def location_factory(spec: bytes) -> wire.RemoteResolver:
-        address, location_id = wire.parse_addr_id_spec(spec, LOCATION_TYPE)
-        return wire.RemoteResolver(address, location_id, timeout)
+    def proxy_factory(owner_type: bytes) -> Callable[[bytes], wire.RemoteResolver]:
+        # "host:port <id>" names a resource its element resolves natively.
+        def factory(spec: bytes) -> wire.RemoteResolver:
+            address, resource_id = wire.parse_addr_id_spec(spec, owner_type)
+            return wire.RemoteResolver(address, resource_id, timeout)
+
+        return factory
 
     def calendar_factory(spec: bytes) -> wire.RemoteResolver:
         return wire.RemoteResolver(parse_calendar_spec(spec), CALENDAR_RESOURCE_ID, timeout)
@@ -589,12 +593,16 @@ def build_registry(
         FILE_COLLECTION_TYPE, collection_factory, label="file-collection", pretty=_pretty_collection
     )
     registry.register(FILE_SET_TYPE, file_set_factory, label="file-set", pretty=_pretty_file_set)
-    registry.register(LOCATION_TYPE, location_factory, label="location", pretty=_pretty_location)
+    registry.register(
+        LOCATION_TYPE, proxy_factory(LOCATION_TYPE), label="location", pretty=_pretty_location
+    )
     registry.register(CALENDAR_TYPE, calendar_factory, label="calendar", pretty=_pretty_calendar)
     registry.register(
         TIME_PERIOD_TYPE, time_period_factory, label="time-period", pretty=_pretty_time_period
     )
     registry.register(EVENT_TYPE, event_factory, label="event", pretty=_pretty_event)
     registry.register(USER_TYPE, user_factory, label="user", pretty=_pretty_user)
-    wire.register_remote_type(registry, timeout)
+    registry.register(
+        wire.REMOTE_TYPE, proxy_factory(wire.REMOTE_TYPE), label="remote", pretty=_pretty_remote
+    )
     return registry

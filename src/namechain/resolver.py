@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol
 
 from .names import LocalName, Name, NameValue, ResourceValue, _build
 from .resources import ResourceDescription, TypeRegistry
@@ -146,7 +146,6 @@ class TransportError(ResolutionError):
     headline = "transport failure"
 
 
-@runtime_checkable
 class Resolver(Protocol):
     """Behavioral contract every resource's resolution code satisfies.
 

@@ -43,6 +43,8 @@ from .resources import MalformedSpecError
 
 log = logging.getLogger(__name__)
 
+_POLL_INTERVAL_S = 0.05  # how often a server thread checks for shutdown
+
 
 @dataclass
 class StoredEvent:
@@ -148,18 +150,21 @@ class RoleServer(socketserver.ThreadingTCPServer):
         except ValueError as exc:
             return [wire.error_line("BADREQ", str(exc))]
 
-    # helpers shared by the resolving roles
+    # RESOLVE, shared by the roles that resolve natively
 
-    def _run_resolution(self, initial: Resolver, name_text: str) -> list[str]:
-        name = parse_name(name_text)
+    def _handle_resolve(self, rest: str) -> list[str]:
+        id_hex, sep, name_text = rest.partition(" ")
+        if not sep:
+            return [wire.error_line("BADREQ", "expected RESOLVE <resource-id> <name>")]
+        initial = self._initial_for(wire.parse_entity_id(id_hex, "resource id"))
+        if initial is None:
+            return [wire.error_line("NOTFOUND", id_hex)]
         ctx = ResolveContext(registry=self.registry, initial=initial, clock=self.clock)
-        return [wire.format_ok_resolution(resolve(ctx, name))]
+        return [wire.format_ok_resolution(resolve(ctx, parse_name(name_text)))]
 
-    @staticmethod
-    def _entity_id(text: str, what: str) -> bytes:
-        if len(text) != 2 * wire.ENTITY_ID_LENGTH or text != text.lower():
-            raise ValueError(f"{what} must be {2 * wire.ENTITY_ID_LENGTH} lowercase hex digits")
-        return bytes.fromhex(text)
+    def _initial_for(self, resource_id: bytes) -> Optional[Resolver]:
+        """Resolver for a resource hosted here, or None if there is none."""
+        return None
 
 
 class UserDatabase(RoleServer):
@@ -180,7 +185,7 @@ class UserDatabase(RoleServer):
         return {"GETUSER": self._handle_getuser}
 
     def _handle_getuser(self, rest: str) -> list[str]:
-        user_id = self._entity_id(rest.strip(), "user id")
+        user_id = wire.parse_entity_id(rest.strip(), "user id")
         with self._state_lock:
             record = self.users.get(user_id)
         if record is None:
@@ -221,22 +226,16 @@ class LocationManager(RoleServer):
 
         return snapshot
 
-    def _handle_resolve(self, rest: str) -> list[str]:
-        id_hex, sep, name_text = rest.partition(" ")
-        if not sep:
-            return [wire.error_line("BADREQ", "expected RESOLVE <resource-id> <name>")]
-        location_id = self._entity_id(id_hex, "resource id")
+    def _initial_for(self, resource_id: bytes) -> Optional[Resolver]:
         with self._state_lock:
-            known = location_id in self.occupancy
-        if not known:
-            return [wire.error_line("NOTFOUND", id_hex)]
-        initial = kit.LocationStateResolver(
-            self._occupants_of(location_id), self.userdb_address, self.clock
+            if resource_id not in self.occupancy:
+                return None
+        return kit.LocationStateResolver(
+            self._occupants_of(resource_id), self.userdb_address, self.clock
         )
-        return self._run_resolution(initial, name_text)
 
     def _handle_occupancy(self, rest: str) -> list[str]:
-        location_id = self._entity_id(rest.strip(), "location id")
+        location_id = wire.parse_entity_id(rest.strip(), "location id")
         with self._state_lock:
             users = self.occupancy.get(location_id)
         if users is None:
@@ -247,12 +246,12 @@ class LocationManager(RoleServer):
         parts = rest.split(" ") if rest else []
         if len(parts) < 2:
             return [wire.error_line("BADREQ", "expected SETOCC <location-id> <n> <user-id>*")]
-        location_id = self._entity_id(parts[0], "location id")
+        location_id = wire.parse_entity_id(parts[0], "location id")
         try:
             count = int(parts[1])
         except ValueError:
             return [wire.error_line("BADREQ", "occupant count must be an integer")]
-        ids = [self._entity_id(p, "user id") for p in parts[2:]]
+        ids = [wire.parse_entity_id(p, "user id") for p in parts[2:]]
         if len(ids) != count:
             return [wire.error_line("BADREQ", "occupant count does not match id list")]
         with self._state_lock:
@@ -304,15 +303,10 @@ class CalendarServer(RoleServer):
             return self.query_local(start, end, tag)
         return wire.query_events(address, start, end, tag)
 
-    def _handle_resolve(self, rest: str) -> list[str]:
-        id_hex, sep, name_text = rest.partition(" ")
-        if not sep:
-            return [wire.error_line("BADREQ", "expected RESOLVE <resource-id> <name>")]
-        resource_id = self._entity_id(id_hex, "resource id")
+    def _initial_for(self, resource_id: bytes) -> Optional[Resolver]:
         if resource_id != kit.CALENDAR_RESOURCE_ID:
-            return [wire.error_line("NOTFOUND", id_hex)]
-        initial = kit.CalendarResolver(self.advertised, self.clock)
-        return self._run_resolution(initial, name_text)
+            return None
+        return kit.CalendarResolver(self.advertised, self.clock)
 
     def _handle_events(self, rest: str) -> list[str]:
         parts = rest.split(" ")
@@ -361,9 +355,9 @@ def serve(
     raise ValueError(f"unknown role {role!r} (expected userdb, location or calendar)")
 
 
-def start_in_thread(server: RoleServer, poll_interval: float = 0.05) -> threading.Thread:
+def start_in_thread(server: RoleServer) -> threading.Thread:
     thread = threading.Thread(
-        target=lambda: server.serve_forever(poll_interval=poll_interval),
+        target=lambda: server.serve_forever(poll_interval=_POLL_INTERVAL_S),
         name=f"{server.role}-server",
         daemon=True,
     )

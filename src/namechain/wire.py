@@ -20,6 +20,10 @@ Verbs:
         -> OK <n>  followed by n lines, each one hex-encoded event
            specification, ordered by start instant then event id
 
+Every id field (resource, user, location) is exactly 32 lowercase hex
+digits, 16 bytes; anything else, padding or inner whitespace included,
+is a bad request.  ``parse_entity_id`` is the one decoder for them.
+
 Any failure is ``ERR <code> <detail>`` with code one of NOTBOUND,
 UNKNOWNTYPE, DEPTH, NOTFOUND, BADREQ, INTERNAL; the client maps each
 code back onto the corresponding resolution error.
@@ -30,6 +34,7 @@ protocol itself is stateless: one request, one response, in order.
 
 from __future__ import annotations
 
+import re
 import socket
 import threading
 from collections import deque
@@ -49,10 +54,11 @@ from .resources import MalformedSpecError, ResourceDescription, TYPE_ID_LENGTH, 
 MAX_LINE_BYTES = 65536
 DEFAULT_TIMEOUT = 5.0
 ENTITY_ID_LENGTH = 16
+_MAX_IDLE_PER_ADDRESS = 4  # pooled idle connections kept per peer
 
 REMOTE_TYPE = derive_type_id("namechain.type.remote.v1")
 
-ERR_CODES = ("NOTBOUND", "UNKNOWNTYPE", "DEPTH", "NOTFOUND", "BADREQ", "INTERNAL")
+_ENTITY_ID_RE = re.compile(r"[0-9a-f]{32}")
 
 
 def hex_field(data: bytes) -> str:
@@ -79,6 +85,13 @@ def format_address(host: str, port: int) -> str:
     return f"{host}:{port}"
 
 
+def parse_entity_id(text: str, what: str = "entity identifier") -> bytes:
+    """Decode an entity id: exactly 32 lowercase hex digits, nothing else."""
+    if not _ENTITY_ID_RE.fullmatch(text):
+        raise ValueError(f"{what} must be 32 lowercase hex digits")
+    return bytes.fromhex(text)
+
+
 # --- addr + entity id specification shape, shared by the remote, location
 # --- and user types: UTF-8 "host:port <32 lowercase hex digits>"
 
@@ -98,17 +111,9 @@ def parse_addr_id_spec(spec: bytes, owner_type: bytes) -> tuple[str, bytes]:
         raise MalformedSpecError(owner_type, "expected 'host:port <id-hex>'")
     try:
         parse_address(address)
+        return address, parse_entity_id(id_hex)
     except ValueError as exc:
         raise MalformedSpecError(owner_type, str(exc)) from None
-    if len(id_hex) != 2 * ENTITY_ID_LENGTH or id_hex != id_hex.lower():
-        raise MalformedSpecError(
-            owner_type, f"entity identifier must be {2 * ENTITY_ID_LENGTH} lowercase hex digits"
-        )
-    try:
-        entity_id = bytes.fromhex(id_hex)
-    except ValueError:
-        raise MalformedSpecError(owner_type, "entity identifier is not hex") from None
-    return address, entity_id
 
 
 # --- resolution <-> OK line
@@ -201,10 +206,9 @@ class _Conn:
 
 
 class _ConnectionPool:
-    def __init__(self, max_idle_per_address: int = 4) -> None:
+    def __init__(self) -> None:
         self._idle: dict[str, deque[_Conn]] = {}
         self._lock = threading.Lock()
-        self._max_idle = max_idle_per_address
 
     def acquire(self, address: str, timeout: float) -> tuple[_Conn, bool]:
         with self._lock:
@@ -223,7 +227,7 @@ class _ConnectionPool:
     def release(self, address: str, conn: _Conn) -> None:
         with self._lock:
             queue = self._idle.setdefault(address, deque())
-            if len(queue) < self._max_idle:
+            if len(queue) < _MAX_IDLE_PER_ADDRESS:
                 queue.append(conn)
                 return
         conn.close()
@@ -377,26 +381,3 @@ class RemoteResolver:
 
 def remote_description(address: str, resource_id: bytes) -> ResourceDescription:
     return ResourceDescription(REMOTE_TYPE, encode_addr_id_spec(address, resource_id))
-
-
-def remote_factory(timeout: float = DEFAULT_TIMEOUT):
-    def factory(spec: bytes) -> RemoteResolver:
-        address, resource_id = parse_addr_id_spec(spec, REMOTE_TYPE)
-        return RemoteResolver(address, resource_id, timeout)
-
-    return factory
-
-
-def _pretty_remote(spec: bytes) -> str:
-    address, resource_id = parse_addr_id_spec(spec, REMOTE_TYPE)
-    return f"remote resource {resource_id.hex()} at {address}"
-
-
-def register_remote_type(registry, timeout: float = DEFAULT_TIMEOUT) -> None:
-    registry.register(
-        REMOTE_TYPE,
-        remote_factory(timeout),
-        usable=False,
-        label="remote",
-        pretty=_pretty_remote,
-    )

@@ -12,6 +12,7 @@ from namechain import kit
 from namechain.cli import main
 from namechain.config import format_config, parse_config
 from namechain.names import serialize_resource_literal
+from namechain.resources import ResourceDescription
 
 
 def _write_cfg(tmp_path, cfg):
@@ -113,6 +114,32 @@ def test_resolve_unknown_initial_type_exits_1(capsys):
     )
     assert main(["resolve", "--initial", literal, "(x)"]) == 1
     assert "unknown type" in capsys.readouterr().err
+
+
+WHITESPACE_MODERATOR_EVENT = (
+    "tag=meeting\nmoderator=000000\t00000000\t0000000000000000\n"
+    f"location={serialize_resource_literal(kit.string_description('room'))}\n"
+    "start=1\nend=2\n"
+).encode()
+
+
+@pytest.mark.parametrize(
+    "spec,reason",
+    [
+        (b"nonsense", "malformed line 'nonsense'"),
+        (WHITESPACE_MODERATOR_EVENT, "moderator must be 32 lowercase hex digits"),
+    ],
+    ids=["nonsense", "whitespace-moderator"],
+)
+def test_resolve_malformed_event_spec_exits_1(tmp_path, capsys, spec, reason):
+    from namechain.config import demo_deployment
+
+    addresses = {"userdb": "127.0.0.1:1", "location": "127.0.0.1:2", "calendar": "127.0.0.1:3"}
+    path = _write_cfg(tmp_path, demo_deployment(addresses, 0))
+    literal = serialize_resource_literal(ResourceDescription(kit.EVENT_TYPE, spec))
+    assert main(["resolve", "--config", path, "--initial", literal, "(moderator)"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: malformed specification for type {kit.EVENT_TYPE.hex()}: {reason}\n"
 
 
 def test_broken_config_exits_2(tmp_path, capsys):

@@ -208,3 +208,29 @@ def test_duplicate_aliases_rejected():
         + "\nemail = v@x\nfiles = http://h/\n"
     )
     _expect_error(text, 9, "duplicate user alias")
+
+
+@pytest.mark.parametrize(
+    "event_lines,fragment",
+    [
+        ("tags = meeting we/ekly\n", "tag must be a token, got 'we/ekly'"),
+        ("file.a/genda = http://h/agenda\n", "file name must be a token, got 'a/genda'"),
+        ("file.agenda = http://h/a b\n", "URL must be non-empty and whitespace-free"),
+    ],
+    ids=["tag", "file-name", "file-url"],
+)
+def test_event_entries_the_calendar_could_not_serve_are_rejected(event_lines, fragment):
+    text = (
+        MINIMAL
+        + "[user u]\nid = "
+        + "00" * 16
+        + "\nemail = u@x\nfiles = http://h/\n"
+        + "[location l]\nid = "
+        + "11" * 16
+        + "\noccupants =\n"
+        + "[event e]\nid = "
+        + "22" * 16
+        + "\nmoderator = u\nlocation = l\nstart = 1\nend = 2\n"
+        + event_lines
+    )
+    _expect_error(text, 12, f"event 'e': {fragment}")

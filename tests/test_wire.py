@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from namechain import kit, wire
+from namechain.config import ConfigError, parse_config
 from namechain.names import parse_name
 from namechain.resolver import (
     DepthExceededError,
@@ -15,7 +16,8 @@ from namechain.resolver import (
     UnknownTypeError,
     Validity,
 )
-from namechain.resources import ResourceDescription
+from namechain.resources import MalformedSpecError, ResourceDescription
+from namechain.servers import UserDatabase
 
 
 # --- framing and field encodings (no sockets)
@@ -59,6 +61,67 @@ def test_error_line_flattens_detail():
 def test_error_codes_map_onto_resolution_errors(code, expected):
     with pytest.raises(expected):
         wire.raise_wire_error(code, "detail")
+
+
+# 32 characters, but bytes.fromhex skips whitespace and decodes 15 bytes.
+PADDED_IDS = ["001122 33445566 778899aabbccddee", "001122\t33445566\t778899aabbccddee"]
+
+
+def test_parse_entity_id_accepts_exactly_32_lowercase_hex_digits():
+    assert wire.parse_entity_id("00112233445566778899aabbccddeeff") == bytes.fromhex(
+        "00112233445566778899aabbccddeeff"
+    )
+    for bad in PADDED_IDS + [
+        "00112233445566778899AABBCCDDEEFF",  # upper case
+        "00112233445566778899aabbccddee",  # 30 digits
+        "00112233445566778899aabbccddeeff00",  # 34 digits
+        " 00112233445566778899aabbccddeeff",
+        "00112233445566778899aabbccddeeff\n",
+        "0x112233445566778899aabbccddeeff",
+        "\u0660" * 32,  # Arabic-Indic zeros are digits, not hex digits
+        "",
+    ]:
+        with pytest.raises(ValueError, match="^user id must be 32 lowercase hex digits$"):
+            wire.parse_entity_id(bad, "user id")
+
+
+def _decode_addr_id_spec(text):
+    with pytest.raises(MalformedSpecError, match="entity identifier must be 32 lowercase hex"):
+        wire.parse_addr_id_spec(f"127.0.0.1:1 {text}".encode(), kit.USER_TYPE)
+
+
+def _decode_event_moderator(text):
+    fields = kit.EventFields(("t",), bytes(16), kit.string_description("x"), (), 1, 2)
+    spec = kit.encode_event_spec(fields).replace(b"00" * 16, text.encode())
+    with pytest.raises(MalformedSpecError, match="moderator must be 32 lowercase hex"):
+        kit.parse_event_spec(spec)
+
+
+def _decode_config_id(text):
+    addresses = "userdb = 127.0.0.1:1\nlocation = 127.0.0.1:2\ncalendar = 127.0.0.1:3\n"
+    with pytest.raises(ConfigError, match="user id must be 32 lowercase hex") as excinfo:
+        parse_config(f"[addresses]\n{addresses}[user u]\nid = {text}\nemail = u@x\nfiles = h/\n")
+    assert excinfo.value.line == 6
+
+
+def _decode_getuser_line(text):
+    server = UserDatabase(("127.0.0.1", 0), {bytes(16): ("u@x", "h/")})
+    try:
+        assert server.process_line(f"GETUSER {text}") == [
+            "ERR BADREQ user id must be 32 lowercase hex digits"
+        ]
+    finally:
+        server.server_close()
+
+
+@pytest.mark.parametrize("padded", PADDED_IDS, ids=["spaces", "tabs"])
+@pytest.mark.parametrize(
+    "decode",
+    [_decode_addr_id_spec, _decode_event_moderator, _decode_config_id, _decode_getuser_line],
+    ids=["addr-id-spec", "event-moderator", "config-id", "getuser-line"],
+)
+def test_every_id_decoder_rejects_inner_whitespace(decode, padded):
+    decode(padded)
 
 
 def test_parse_address():
@@ -183,6 +246,51 @@ def test_resolve_bad_name_is_badreq(deployment):
         b"RESOLVE " + room.location_id.hex().encode() + b" (unbalanced\n",
     )
     assert response.startswith(b"ERR BADREQ")
+
+
+def _hosted_id(deployment, role):
+    if role == "location":
+        return deployment.cfg.locations["room101"].location_id.hex()
+    return kit.CALENDAR_RESOURCE_ID.hex()
+
+
+@pytest.mark.parametrize("role,name", [("location", "(occupant)"), ("calendar", "(today)")])
+@pytest.mark.parametrize(
+    "request_of,expected",
+    [
+        (lambda rid, name: f"RESOLVE {rid} {name}", "OK "),
+        (lambda rid, name: f"RESOLVE {rid}", "ERR BADREQ expected RESOLVE"),
+        (lambda rid, name: f"RESOLVE {'ee' * 16} {name}", f"ERR NOTFOUND {'ee' * 16}"),
+        (lambda rid, name: f"RESOLVE A{rid[1:]} {name}", "ERR BADREQ resource id must be"),
+        (lambda rid, name: f"RESOLVE {rid[:-1]}g {name}", "ERR BADREQ resource id must be"),
+        (lambda rid, name: f"RESOLVE {rid} {name[:-1]}", "ERR BADREQ bad name"),
+    ],
+    ids=["ok", "missing-name", "unknown-id", "upper-case-id", "non-hex-id", "bad-name"],
+)
+def test_resolve_request_on_each_resolving_role(deployment, role, name, request_of, expected):
+    server = deployment.servers[role]
+    responses = server.process_line(request_of(_hosted_id(deployment, role), name))
+    assert len(responses) == 1
+    assert responses[0].startswith(expected)
+
+
+@pytest.mark.parametrize(
+    "describe,pretty",
+    [(kit.location_description, "location "), (wire.remote_description, "remote resource ")],
+    ids=["location", "remote"],
+)
+def test_addr_id_types_build_remote_proxies(describe, pretty):
+    registry = kit.build_registry(timeout=1.5)
+    resource_id = bytes(range(16))
+    description = describe("127.0.0.1:7001", resource_id)
+    proxy = registry.instantiate(description)
+    assert isinstance(proxy, wire.RemoteResolver)
+    assert (proxy.address, proxy.resource_id, proxy.timeout) == ("127.0.0.1:7001", resource_id, 1.5)
+    assert registry.pretty(description).startswith(pretty + resource_id.hex())
+    padded = ResourceDescription(description.type_id, f"127.0.0.1:7001 {PADDED_IDS[0]}".encode())
+    with pytest.raises(MalformedSpecError) as excinfo:
+        registry.instantiate(padded)
+    assert excinfo.value.type_id == description.type_id
 
 
 def test_remote_resolver_delegates_whole_names(fake_deployment):
