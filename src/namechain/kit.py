@@ -37,6 +37,7 @@ least 10 minutes), location occupancy 30 seconds, user record mappings
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -542,10 +543,13 @@ def build_registry(
     data carries only the moderator's identifier, not where user records
     live.  events_query and user_fetch default to wire queries and exist
     so servers can short-circuit lookups into their own state (and tests
-    can avoid sockets).
+    can avoid sockets).  timeout bounds every wire request the registry's
+    resolvers make.
     """
-    query = events_query if events_query is not None else wire.query_events
-    fetch = user_fetch if user_fetch is not None else wire.get_user
+    if events_query is None:
+        events_query = functools.partial(wire.query_events, timeout=timeout)
+    if user_fetch is None:
+        user_fetch = functools.partial(wire.get_user, timeout=timeout)
 
     registry = TypeRegistry()
 
@@ -578,14 +582,14 @@ def build_registry(
 
     def time_period_factory(spec: bytes) -> TimePeriodResolver:
         address, start, end = parse_time_period_spec(spec)
-        return TimePeriodResolver(address, start, end, clock, query, userdb_address)
+        return TimePeriodResolver(address, start, end, clock, events_query, userdb_address)
 
     def event_factory(spec: bytes) -> EventResolver:
         return EventResolver(parse_event_spec(spec), clock, userdb_address)
 
     def user_factory(spec: bytes) -> UserResolver:
         address, user_id = wire.parse_addr_id_spec(spec, USER_TYPE)
-        return UserResolver(address, user_id, clock, fetch)
+        return UserResolver(address, user_id, clock, user_fetch)
 
     registry.register(STRING_TYPE, string_factory, usable=True, label="string", pretty=_pretty_string)
     registry.register(FILE_TYPE, file_factory, usable=True, label="file", pretty=_pretty_file)

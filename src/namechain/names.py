@@ -21,6 +21,13 @@ Parsing is strict everywhere else: the whole input must be consumed,
 attribute labels must be unique within a local name, hex fields are
 lowercase, and anything not derivable from the grammar raises
 NameSyntaxError rather than yielding a partial name.
+
+Names nest at most MAX_NESTING deep, a name with no name-valued
+attribute being 1 deep.  Each level spends at least one resolution
+step, so the limit is the resolver's default step budget: it rejects no
+name that budget could resolve, and every walk over a name stays
+shallow.  The parser raises NameSyntaxError past it, NameValue raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9._-]+")
 _HEX_RE = re.compile(r"[0-9a-f]+")
 # A name without attributes: tokens separated by one or more spaces.
 _PLAIN_NAME_RE = re.compile(r"\(([A-Za-z0-9._-]+(?: +[A-Za-z0-9._-]+)*)\)")
+MAX_NESTING = 32
 
 
 class NameSyntaxError(ValueError):
@@ -77,6 +85,8 @@ class NameValue:
     def __post_init__(self) -> None:
         if not isinstance(self.name, Name):
             raise ValueError("name value must wrap a Name")
+        if _nesting(self.name) >= MAX_NESTING:
+            raise ValueError(f"names nest at most {MAX_NESTING} deep")
 
 
 @dataclass(frozen=True)
@@ -130,6 +140,21 @@ class Name:
         object.__setattr__(self, "locals", locals_)
 
 
+def _nesting(name: Name) -> int:
+    """How deep names nest in `name`: 1 with no name-valued attribute.
+
+    Every nested name in it was built within MAX_NESTING, so the
+    recursion stays shallow.
+    """
+    nested = [
+        _nesting(value.name)
+        for local in name.locals
+        for _, value in local.attributes
+        if isinstance(value, NameValue)
+    ]
+    return 1 + max(nested, default=0)
+
+
 def _build(cls, fields: dict):
     """An instance of a value class from fields the caller has already checked.
 
@@ -144,11 +169,12 @@ def _build(cls, fields: dict):
 
 
 class _Parser:
-    __slots__ = ("text", "pos")
+    __slots__ = ("text", "pos", "depth")
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0  # names open at self.pos
 
     def error(self, reason: str) -> NameSyntaxError:
         return NameSyntaxError(self.pos, reason)
@@ -170,6 +196,9 @@ class _Parser:
     def name(self) -> Name:
         if self.peek() != "(":
             raise self.error("expected '('")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"names nest at most {MAX_NESTING} deep")
         self.pos += 1
         if self.peek() == ")":
             raise EmptyNameError(self.pos)
@@ -178,6 +207,7 @@ class _Parser:
             c = self.peek()
             if c == ")":
                 self.pos += 1
+                self.depth -= 1
                 return _build(Name, {"locals": tuple(locals_)})
             if c == " ":
                 while self.peek() == " ":

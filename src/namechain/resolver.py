@@ -9,15 +9,17 @@ remaining chain to it, and intersects the validity periods of all steps.
 The final description is returned untouched, so no element along the way
 needs to understand it.
 
-Name-valued attributes are anchored to the initial resource: before any
-dispatch, the engine replaces every nested name anywhere in the chain
-with the resource description it resolves to, so downstream resources
-only ever see literal values.
+Name-valued attributes are anchored to the initial resource: once, up
+front, the engine replaces every nested name anywhere in the chain with
+the resource description it resolves to, so downstream resources only
+ever see literal values.
 
 A resolver that can handle whole names by itself (typically a proxy for
 a networked element with native resolution support) may additionally
 offer ``resolve_name(name) -> Resolution``; the engine then hands the
-entire remaining chain over in one step.
+entire remaining chain over in one step.  When the initial resource
+itself does so, the engine literalizes nothing: the name goes over as
+it is, and the element behind it anchors the attributes to itself.
 
 A resolver that decodes the description it returns (to check it, or to
 compute the validity) may offer ``resolver_for(description)``: the
@@ -33,12 +35,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
-from .names import LocalName, Name, NameValue, ResourceValue, _build
+from .names import MAX_NESTING, LocalName, Name, NameValue, ResourceValue, _build
 from .resources import ResourceDescription, TypeRegistry
 
 Clock = Callable[[], int]
 
-DEFAULT_MAX_DEPTH = 32
+# One number for both limits: a name nested deeper than the parser takes
+# spends more steps than this on its nested names alone.
+DEFAULT_MAX_DEPTH = MAX_NESTING
 
 
 def system_clock() -> int:
@@ -187,20 +191,13 @@ class _Budget:
         self.remaining -= 1
 
 
-def _stamp_step(exc: ResolutionError, step: int) -> None:
-    if exc.step is None:
-        exc.step = step
-
-
-def _literalize(
-    ctx: ResolveContext, name: Name, budget: _Budget, step: Optional[int] = None
-) -> Name:
+def _literalize(ctx: ResolveContext, name: Name, budget: _Budget) -> Name:
     """Replace every name-valued attribute with the description it resolves to.
 
-    A name with no name-valued attribute comes back as it is.  When `name`
-    is the chain being resolved from chain step `step` on, a failure inside
-    the attributes of its i-th local name, however deeply nested, carries
-    step + i: the step of the local name that holds the attribute.
+    A name with no name-valued attribute comes back as it is.  A failure
+    inside the attributes of the i-th local name, however deeply nested,
+    carries step i: the step of the local name that holds the attribute
+    (the outermost call sets it last).
     """
     out_locals = []
     changed = False
@@ -211,13 +208,11 @@ def _literalize(
                 for label, value in local.attributes:
                     if isinstance(value, NameValue):
                         inner = _literalize(ctx, value.name, budget)
-                        resolved = _dispatch(ctx, ctx.initial, inner, 0, budget, pre_resolved=True)
-                        value = ResourceValue(resolved.description)
+                        value = ResourceValue(_walk(ctx, inner, budget).description)
                     new_attrs.append((label, value))
             except ResolutionError as exc:
-                if step is not None:
-                    # out_locals holds the local names before this one
-                    exc.step = step + len(out_locals)
+                # out_locals holds the local names before this one
+                exc.step = len(out_locals)
                 raise
             local = _build(LocalName, {"primary": local.primary, "attributes": tuple(new_attrs)})
             changed = True
@@ -227,70 +222,49 @@ def _literalize(
     return _build(Name, {"locals": tuple(out_locals)})
 
 
-def _next_resolver(
-    ctx: ResolveContext, resolver: Resolver, description: ResourceDescription
-) -> Optional[Resolver]:
-    """Resolver for the description a step returned, None for an unknown type.
+def _walk(ctx: ResolveContext, name: Name, budget: _Budget) -> Resolution:
+    """Resolve `name` from the initial resource, one step at a time.
 
-    The step's own resolver_for (see the module docstring) is asked
-    first, as long as the registry knows the type; otherwise the registry
-    instantiates it.
+    Every step, local or delegated, spends one unit of the budget in the
+    same place, and a failure there carries that step unless it already
+    knows a deeper one.
     """
-    resolver_for = getattr(resolver, "resolver_for", None)
-    if resolver_for is not None and ctx.registry.knows(description.type_id):
-        nxt = resolver_for(description)
-        if nxt is not None:
-            return nxt
-    return ctx.registry.instantiate(description)
-
-
-def _dispatch(
-    ctx: ResolveContext,
-    resolver: Resolver,
-    name: Name,
-    step: int,
-    budget: _Budget,
-    pre_resolved: bool,
-) -> Resolution:
-    """Resolve `name` from `resolver` (taking chain step `step`), one step at a time."""
+    resolver = ctx.initial
     chain = name.locals
+    step = 0
     validity: Optional[Validity] = None  # intersection over the steps taken so far
     while True:
         resolve_name = getattr(resolver, "resolve_name", None)
-        if resolve_name is not None:
-            # Whole-chain delegation: the element behind this resolver runs
-            # the same procedure itself and anchors any remaining name-valued
-            # attributes to itself, which is exactly the initial resource's
-            # role from here on.
-            if chain is not name.locals:
-                name = _build(Name, {"locals": chain})
-            try:
-                budget.spend()
-                resolution = resolve_name(name)
-            except ResolutionError as exc:
-                _stamp_step(exc, step)
-                raise
-            if validity is None:
-                return resolution
-            return Resolution(resolution.description, intersect(validity, resolution.validity))
-        if not pre_resolved:
-            name = _literalize(ctx, name, budget, step)
-            chain = name.locals
-            pre_resolved = True
         try:
             budget.spend()
-            description, step_validity = resolver.resolve_local(chain[0])
+            if resolve_name is None:
+                description, step_validity = resolver.resolve_local(chain[0])
+                chain = chain[1:]
+            else:
+                # Whole-chain delegation: the element behind this resolver
+                # runs the same procedure itself, anchored to itself.
+                resolution = resolve_name(name if step == 0 else _build(Name, {"locals": chain}))
+                if validity is None:
+                    return resolution
+                description, step_validity, chain = resolution.description, resolution.validity, ()
         except ResolutionError as exc:
-            _stamp_step(exc, step)
+            if exc.step is None:
+                exc.step = step
             raise
         validity = step_validity if validity is None else intersect(validity, step_validity)
-        chain = chain[1:]
         if not chain:
             return Resolution(description, validity)
-        resolver = _next_resolver(ctx, resolver, description)
         step += 1
+        # The next resolver: the step's own resolver_for, as long as the
+        # registry knows the type, else the registry's.
+        resolver_for = getattr(resolver, "resolver_for", None)
+        resolver = None
+        if resolver_for is not None and ctx.registry.knows(description.type_id):
+            resolver = resolver_for(description)
         if resolver is None:
-            raise UnknownTypeError(description.type_id, step=step)
+            resolver = ctx.registry.instantiate(description)
+            if resolver is None:
+                raise UnknownTypeError(description.type_id, step=step)
 
 
 def resolve(ctx: ResolveContext, name: Name) -> Resolution:
@@ -301,4 +275,6 @@ def resolve(ctx: ResolveContext, name: Name) -> Resolution:
     at when known.
     """
     budget = _Budget(ctx.max_depth)
-    return _dispatch(ctx, ctx.initial, name, 0, budget, pre_resolved=False)
+    if getattr(ctx.initial, "resolve_name", None) is None:
+        name = _literalize(ctx, name, budget)
+    return _walk(ctx, name, budget)

@@ -205,12 +205,11 @@ class LocationManager(RoleServer):
         occupancy: dict[bytes, list[bytes]],
         userdb_address: str,
         clock: Clock = system_clock,
-        timeout: float = wire.DEFAULT_TIMEOUT,
     ) -> None:
         super().__init__(listen, clock)
         self.occupancy = {loc: list(users) for loc, users in occupancy.items()}
         self.userdb_address = userdb_address
-        self.registry = kit.build_registry(clock, userdb_address, timeout=timeout)
+        self.registry = kit.build_registry(clock, userdb_address)
 
     def _verbs(self):
         return {
@@ -273,7 +272,6 @@ class CalendarServer(RoleServer):
         advertised: Optional[str],
         userdb_address: str,
         clock: Clock = system_clock,
-        timeout: float = wire.DEFAULT_TIMEOUT,
     ) -> None:
         super().__init__(listen, clock)
         self.events = list(events)
@@ -281,9 +279,7 @@ class CalendarServer(RoleServer):
         self.userdb_address = userdb_address
         # Time periods minted by this calendar point back at it; resolve
         # them against local state instead of a loopback wire call.
-        self.registry = kit.build_registry(
-            clock, userdb_address, timeout=timeout, events_query=self._events_query
-        )
+        self.registry = kit.build_registry(clock, userdb_address, events_query=self._events_query)
 
     def _verbs(self):
         return {"RESOLVE": self._handle_resolve, "EVENTS": self._handle_events}
@@ -326,7 +322,6 @@ def serve(
     cfg: DeploymentConfig,
     listen: Optional[str] = None,
     clock: Clock = system_clock,
-    timeout: float = wire.DEFAULT_TIMEOUT,
 ) -> RoleServer:
     """Construct (bind, do not run) the server for a role from config."""
     address_text = listen or cfg.addresses[role]
@@ -339,9 +334,7 @@ def serve(
             loc.location_id: [cfg.users[a].user_id for a in loc.occupants]
             for loc in cfg.locations.values()
         }
-        return LocationManager(
-            listen_addr, occupancy, cfg.addresses["userdb"], clock=clock, timeout=timeout
-        )
+        return LocationManager(listen_addr, occupancy, cfg.addresses["userdb"], clock=clock)
     if role == "calendar":
         events = [StoredEvent(e.event_id, cfg.event_fields(e)) for e in cfg.events.values()]
         return CalendarServer(
@@ -350,7 +343,6 @@ def serve(
             advertised=cfg.addresses["calendar"],
             userdb_address=cfg.addresses["userdb"],
             clock=clock,
-            timeout=timeout,
         )
     raise ValueError(f"unknown role {role!r} (expected userdb, location or calendar)")
 

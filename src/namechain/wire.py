@@ -322,7 +322,7 @@ def occupancy(address: str, location_id: bytes, timeout: float = DEFAULT_TIMEOUT
     fields = _expect_ok(fields, "OCCUPANCY")
     try:
         count = int(fields[1])
-        ids = [bytes.fromhex(f) for f in fields[2:]]
+        ids = [parse_entity_id(f, "user identifier") for f in fields[2:]]
     except (IndexError, ValueError) as exc:
         raise TransportError(f"malformed OCCUPANCY response: {exc}") from None
     if len(ids) != count:

@@ -30,6 +30,11 @@ def fake_clock():
     return FakeClock()
 
 
+def nested_name(depth: int) -> str:
+    """`(a[x=(a[x=...(a)...])])`, names nested `depth` deep."""
+    return "(a[x=" * (depth - 1) + "(a)" + "])" * (depth - 1)
+
+
 def free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import free_port
+from conftest import free_port, nested_name
 
 from namechain import kit
 from namechain.cli import main
@@ -84,6 +84,15 @@ def test_resolve_bad_name_exits_2(tmp_path, deployment, capsys):
     path = _write_cfg(tmp_path, deployment.cfg)
     assert main(["resolve", "--config", path, "--initial", "calendar", "(oops"]) == 2
     assert "bad name" in capsys.readouterr().err
+
+
+def test_resolve_deeply_nested_name_exits_2(tmp_path, deployment, capsys):
+    path = _write_cfg(tmp_path, deployment.cfg)
+    assert main(["resolve", "--config", path, "--initial", "calendar", nested_name(1000)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bad name: names nest at most 32 deep")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_resolve_unknown_alias_exits_2(tmp_path, deployment, capsys):

@@ -3,7 +3,10 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import nested_name
+
 from namechain.names import (
+    MAX_NESTING,
     EmptyNameError,
     LocalName,
     Name,
@@ -144,6 +147,30 @@ def test_syntax_error_carries_position():
     with pytest.raises(NameSyntaxError) as excinfo:
         parse_name("(a b!)")
     assert excinfo.value.position == 4
+
+
+def test_names_nested_32_deep_parse_and_round_trip():
+    name = parse_name(nested_name(MAX_NESTING))
+    assert serialize_name(name) == nested_name(MAX_NESTING)
+    assert parse_name(serialize_name(name)) == name
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 300, 1000])
+def test_parser_rejects_names_nested_past_the_limit(depth):
+    with pytest.raises(NameSyntaxError) as excinfo:
+        parse_name(nested_name(depth))
+    # the error points at the first '(' past the limit
+    assert excinfo.value.position == 5 * MAX_NESTING
+    assert excinfo.value.reason == "names nest at most 32 deep"
+
+
+def test_name_value_rejects_names_nested_past_the_limit():
+    name = Name((LocalName("a"),))
+    for _ in range(MAX_NESTING - 1):
+        name = Name((LocalName("a", (("x", NameValue(name)),)),))
+    assert name == parse_name(nested_name(MAX_NESTING))
+    with pytest.raises(ValueError, match="nest at most 32 deep"):
+        NameValue(name)
 
 
 def test_parse_resource_literal_zero_case():

@@ -257,6 +257,28 @@ def test_initial_with_native_support_gets_the_whole_name():
     assert delegate.seen == [parse_name("(a b[u=(x y)] c)")]
 
 
+def test_mid_chain_delegate_gets_the_literalized_rest():
+    final = Resolution(node_description("far"), Validity(T0 + 1_000))
+    delegate = _Delegating(final)
+    delegate_type = derive_type_id("delegating-node")
+    registry = TypeRegistry()
+    registry.register(delegate_type, lambda spec: delegate)
+    target = node_description("target")
+    initial = MapResolver(
+        {
+            "gw": (ResourceDescription(delegate_type, b""), Validity(T0 + 500)),
+            "x": (target, Validity(T0 + 2_000)),
+        },
+        "init",
+    )
+    ctx = ResolveContext(registry=registry, initial=initial)
+    resolution = resolve(ctx, parse_name("(gw a[u=(x)] b)"))
+    assert resolution == Resolution(node_description("far"), Validity(T0 + 500))
+    # (x) was anchored to the initial resource before the hand-over
+    literal = Name((LocalName("a", (("u", ResourceValue(target)),)), LocalName("b")))
+    assert delegate.seen == [literal]
+
+
 @given(
     st.lists(st.integers(0, 2**40), min_size=2, max_size=6),
     st.integers(0, 2**40),

@@ -5,6 +5,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import nested_name
+
 from namechain import kit, wire
 from namechain.config import ConfigError, parse_config
 from namechain.names import parse_name
@@ -12,9 +14,11 @@ from namechain.resolver import (
     DepthExceededError,
     NotBoundError,
     Resolution,
+    ResolveContext,
     TransportError,
     UnknownTypeError,
     Validity,
+    resolve,
 )
 from namechain.resources import MalformedSpecError, ResourceDescription
 from namechain.servers import UserDatabase
@@ -376,16 +380,17 @@ def test_concurrent_resolutions_are_consistent(deployment):
 # --- retry of pooled connections, against a scripted peer
 
 class _ScriptedPeer:
-    """Loopback peer that answers each GETUSER line as `answer(n)` says.
+    """Loopback peer that answers each request line as `answer(n)` says.
 
     `answer` gets the 1-based number of the request line over all
-    connections and returns "reply" (answer it and keep the connection),
-    "close" (answer it, then close the connection) or "silent" (never
-    answer).
+    connections and returns "reply" (send `reply`, a GETUSER answer by
+    default, and keep the connection), "close" (send it, then close the
+    connection) or "silent" (never answer).
     """
 
-    def __init__(self, answer):
+    def __init__(self, answer, reply=b"OK a@example.org file://h/a\n"):
         self.answer = answer
+        self.reply = reply
         self.lines: list[bytes] = []
         self.connections = 0
         self._lock = threading.Lock()
@@ -414,7 +419,7 @@ class _ScriptedPeer:
                     action = self.answer(len(self.lines))
                 if action == "silent":
                     continue
-                sock.sendall(b"OK a@example.org file://h/a\n")
+                sock.sendall(self.reply)
                 if action == "close":
                     return
 
@@ -456,3 +461,46 @@ def test_pooled_connection_to_a_silent_peer_is_not_retried():
         assert peer.connections == 1
     finally:
         peer.close()
+
+
+@pytest.mark.parametrize(
+    "describe,name",
+    [
+        (lambda address: wire.remote_description(address, b"\x01" * 16), "(x)"),
+        (lambda address: kit.user_description(address, b"\x01" * 16), "(email)"),
+        (lambda address: kit.time_period_description(address, 0, 1), "(meeting)"),
+    ],
+    ids=["RESOLVE", "GETUSER", "EVENTS"],
+)
+def test_registry_timeout_bounds_every_hop(describe, name):
+    peer = _ScriptedPeer(lambda n: "silent")
+    timeout = 0.3
+    try:
+        registry = kit.build_registry(timeout=timeout)
+        ctx = ResolveContext(registry=registry, initial=registry.instantiate(describe(peer.address)))
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            resolve(ctx, parse_name(name))
+        assert time.monotonic() - start < 2 * timeout
+        assert len(peer.lines) == 1
+    finally:
+        peer.close()
+
+
+@pytest.mark.parametrize("reply", [b"OK 1 00\n", b"OK 1 " + b"AB" * 16 + b"\n"])
+def test_occupancy_reply_with_a_bad_user_id_is_a_transport_error(reply):
+    peer = _ScriptedPeer(lambda n: "reply", reply=reply)
+    try:
+        with pytest.raises(TransportError) as excinfo:
+            wire.occupancy(peer.address, b"\x02" * 16, timeout=2)
+        assert "user identifier" in str(excinfo.value)
+    finally:
+        peer.close()
+
+
+@pytest.mark.parametrize("depth", [300, 1000])
+def test_deeply_nested_name_is_badreq(deployment, depth):
+    calendar = deployment.servers["calendar"]
+    line = f"RESOLVE {kit.CALENDAR_RESOURCE_ID.hex()} {nested_name(depth)}"
+    (response,) = calendar.process_line(line)
+    assert response.startswith("ERR BADREQ bad name: names nest at most 32 deep")
