@@ -25,9 +25,12 @@ user            "host:port <32 hex>" (user database, user id); maps
 
 Location and calendar resolution happens on the hosting server: their
 client resolver is the remote proxy, which forwards the rest of the name
-over the wire in one request.  The user database has no resolution
-support of its own, so the user type's resolver fetches the record and
-maps local names client-side.
+over the wire in one request.  A calendar server decodes its events once,
+at start-up, and hands those decodings to the time-period step
+(build_registry's known_events), so resolving through its own calendar
+decodes no event spec.  The user database has no resolution support of
+its own, so the user type's resolver fetches the record and maps local
+names client-side.
 
 Validity policy: static data lives 24 hours, calendar period names until
 the period ends, time-period tag lookups until the event starts (at
@@ -40,7 +43,8 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from . import wire
 from .names import (
@@ -304,6 +308,7 @@ def files_common_prefix(files: tuple[tuple[str, str], ...]) -> Optional[str]:
 
 EventsQuery = Callable[[str, int, int, str], list[bytes]]
 UserFetch = Callable[[str, bytes], tuple[str, str]]
+_NO_EVENTS: Mapping[bytes, EventFields] = MappingProxyType({})
 
 
 class EmptyNamespaceResolver:
@@ -398,6 +403,8 @@ class TimePeriodResolver:
     query source already returns them in that order.  The event found is
     decoded here, which checks it even when the name ends at it; when the
     name goes on, resolver_for hands that decoding to the event step.
+    known_events maps specs already decoded (a calendar server's own
+    events) to their decoding; any other spec is decoded here.
     """
 
     def __init__(
@@ -408,6 +415,7 @@ class TimePeriodResolver:
         clock: Clock,
         query: EventsQuery,
         userdb_address: Optional[str] = None,
+        known_events: Mapping[bytes, EventFields] = _NO_EVENTS,
     ) -> None:
         self.server_address = server_address
         self.start = start
@@ -415,6 +423,7 @@ class TimePeriodResolver:
         self.clock = clock
         self.query = query
         self.userdb_address = userdb_address
+        self.known_events = known_events
         self._decoded: Optional[tuple[bytes, EventFields]] = None
 
     def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
@@ -422,7 +431,7 @@ class TimePeriodResolver:
         if not specs:
             raise NotBoundError(local.primary, "no event in the period carries this tag")
         spec = specs[0]
-        event = parse_event_spec(spec)
+        event = self.known_events.get(spec) or parse_event_spec(spec)
         self._decoded = (spec, event)
         # The mapping can only change once the event begins; never issue
         # for less than the floor.
@@ -536,6 +545,7 @@ def build_registry(
     timeout: float = wire.DEFAULT_TIMEOUT,
     events_query: Optional[EventsQuery] = None,
     user_fetch: Optional[UserFetch] = None,
+    known_events: Mapping[bytes, EventFields] = _NO_EVENTS,
 ) -> TypeRegistry:
     """Registry with every sample type plus the remote proxy type.
 
@@ -543,8 +553,10 @@ def build_registry(
     data carries only the moderator's identifier, not where user records
     live.  events_query and user_fetch default to wire queries and exist
     so servers can short-circuit lookups into their own state (and tests
-    can avoid sockets).  timeout bounds every wire request the registry's
-    resolvers make.
+    can avoid sockets).  known_events maps the specs a calendar server
+    hosts to the decoding it made of each when it was built, so a time
+    period finding one of them does not decode it again.  timeout bounds
+    every wire request the registry's resolvers make.
     """
     if events_query is None:
         events_query = functools.partial(wire.query_events, timeout=timeout)
@@ -582,7 +594,9 @@ def build_registry(
 
     def time_period_factory(spec: bytes) -> TimePeriodResolver:
         address, start, end = parse_time_period_spec(spec)
-        return TimePeriodResolver(address, start, end, clock, events_query, userdb_address)
+        return TimePeriodResolver(
+            address, start, end, clock, events_query, userdb_address, known_events
+        )
 
     def event_factory(spec: bytes) -> EventResolver:
         return EventResolver(parse_event_spec(spec), clock, userdb_address)

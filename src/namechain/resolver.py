@@ -12,7 +12,9 @@ needs to understand it.
 Name-valued attributes are anchored to the initial resource: once, up
 front, the engine replaces every nested name anywhere in the chain with
 the resource description it resolves to, so downstream resources only
-ever see literal values.
+ever see literal values.  The validity of those attribute resolutions
+joins the intersection too: the name means what it means only while
+its attributes do.
 
 A resolver that can handle whole names by itself (typically a proxy for
 a networked element with native resolution support) may additionally
@@ -191,48 +193,60 @@ class _Budget:
         self.remaining -= 1
 
 
-def _literalize(ctx: ResolveContext, name: Name, budget: _Budget) -> Name:
+def _literalize(
+    ctx: ResolveContext, name: Name, budget: _Budget
+) -> tuple[Name, Optional[Validity]]:
     """Replace every name-valued attribute with the description it resolves to.
 
-    A name with no name-valued attribute comes back as it is.  A failure
-    inside the attributes of the i-th local name, however deeply nested,
-    carries step i: the step of the local name that holds the attribute
-    (the outermost call sets it last).
+    Returns the literal name and the intersection of the validities of
+    those attribute resolutions, or None when there were none; a name
+    with no name-valued attribute comes back as it is.  A failure inside
+    the attributes of the i-th local name, however deeply nested, carries
+    step i: the step of the local name that holds the attribute (the
+    outermost call sets it last).
     """
     out_locals = []
-    changed = False
+    validity: Optional[Validity] = None
     for local in name.locals:
         if local.attributes and any(isinstance(value, NameValue) for _, value in local.attributes):
             new_attrs = []
             try:
                 for label, value in local.attributes:
                     if isinstance(value, NameValue):
-                        inner = _literalize(ctx, value.name, budget)
-                        value = ResourceValue(_walk(ctx, inner, budget).description)
+                        inner, inner_validity = _literalize(ctx, value.name, budget)
+                        resolution = _walk(ctx, inner, inner_validity, budget)
+                        value = ResourceValue(resolution.description)
+                        validity = (
+                            resolution.validity
+                            if validity is None
+                            else intersect(validity, resolution.validity)
+                        )
                     new_attrs.append((label, value))
             except ResolutionError as exc:
                 # out_locals holds the local names before this one
                 exc.step = len(out_locals)
                 raise
             local = _build(LocalName, {"primary": local.primary, "attributes": tuple(new_attrs)})
-            changed = True
         out_locals.append(local)
-    if not changed:
-        return name
-    return _build(Name, {"locals": tuple(out_locals)})
+    if validity is None:
+        return name, None
+    return _build(Name, {"locals": tuple(out_locals)}), validity
 
 
-def _walk(ctx: ResolveContext, name: Name, budget: _Budget) -> Resolution:
+def _walk(
+    ctx: ResolveContext, name: Name, validity: Optional[Validity], budget: _Budget
+) -> Resolution:
     """Resolve `name` from the initial resource, one step at a time.
 
-    Every step, local or delegated, spends one unit of the budget in the
-    same place, and a failure there carries that step unless it already
-    knows a deeper one.
+    `validity` is that of the attribute resolutions already made for the
+    name (None if none); the result's validity intersects it with every
+    step's.  Every step, local or delegated, spends one unit of the
+    budget in the same place, and a failure there carries that step
+    unless it already knows a deeper one.
     """
     resolver = ctx.initial
     chain = name.locals
     step = 0
-    validity: Optional[Validity] = None  # intersection over the steps taken so far
     while True:
         resolve_name = getattr(resolver, "resolve_name", None)
         try:
@@ -275,6 +289,7 @@ def resolve(ctx: ResolveContext, name: Name) -> Resolution:
     at when known.
     """
     budget = _Budget(ctx.max_depth)
+    validity = None
     if getattr(ctx.initial, "resolve_name", None) is None:
-        name = _literalize(ctx, name, budget)
-    return _walk(ctx, name, budget)
+        name, validity = _literalize(ctx, name, budget)
+    return _walk(ctx, name, validity, budget)

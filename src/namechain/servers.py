@@ -10,6 +10,8 @@ All three speak the same line protocol but expose different verbs:
     calendar server   RESOLVE, EVENTS.  Hosts one calendar (resource id
                       all zeros) and resolves names from it natively,
                       recursing across servers when a chain demands it.
+                      Each event is decoded once, when it is stored; an
+                      event that does not decode is refused then.
 
 Each server runs one thread per connection and handles the requests on
 a connection sequentially; shared state (occupancy, per-verb counters)
@@ -48,12 +50,19 @@ _POLL_INTERVAL_S = 0.05  # how often a server thread checks for shutdown
 
 @dataclass
 class StoredEvent:
+    """An event as its calendar serves it: spec bytes and their decoding.
+
+    fields becomes the decoding of the exact bytes served, made once,
+    here; an event whose spec does not decode raises MalformedSpecError.
+    """
+
     event_id: bytes
     fields: kit.EventFields
     spec: bytes = field(init=False)
 
     def __post_init__(self) -> None:
         self.spec = kit.encode_event_spec(self.fields)
+        self.fields = kit.parse_event_spec(self.spec)
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
@@ -278,8 +287,15 @@ class CalendarServer(RoleServer):
         self.advertised = advertised or self.address
         self.userdb_address = userdb_address
         # Time periods minted by this calendar point back at it; resolve
-        # them against local state instead of a loopback wire call.
-        self.registry = kit.build_registry(clock, userdb_address, events_query=self._events_query)
+        # them against local state instead of a loopback wire call, from
+        # the events as decoded when they were stored.  No verb writes
+        # events, so the decodings never go stale.
+        self.registry = kit.build_registry(
+            clock,
+            userdb_address,
+            events_query=self._events_query,
+            known_events={ev.spec: ev.fields for ev in self.events},
+        )
 
     def _verbs(self):
         return {"RESOLVE": self._handle_resolve, "EVENTS": self._handle_events}

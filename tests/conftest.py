@@ -8,7 +8,14 @@ from namechain.config import DeploymentConfig, demo_deployment
 from namechain.names import LocalName
 from namechain.resolver import NotBoundError, Validity, system_clock
 from namechain.resources import ResourceDescription, TypeRegistry, derive_type_id
-from namechain.servers import RoleServer, serve, start_in_thread
+from namechain.servers import (
+    CalendarServer,
+    LocationManager,
+    RoleServer,
+    StoredEvent,
+    UserDatabase,
+    start_in_thread,
+)
 
 
 class FakeClock:
@@ -35,29 +42,60 @@ def nested_name(depth: int) -> str:
     return "(a[x=" * (depth - 1) + "(a)" + "])" * (depth - 1)
 
 
+ANY_LOOPBACK_PORT = ("127.0.0.1", 0)
+
+
 def free_port() -> int:
+    """A port that was free a moment ago, for a server another process binds.
+
+    Another process may take it before then; servers run in this process
+    bind port 0 instead (see Deployment).
+    """
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
 
 
 class Deployment:
-    """All three servers on loopback, plus the config describing them."""
+    """All three servers on loopback, plus the config describing them.
+
+    Each server binds port 0, so no port is chosen before it is bound.
+    They start in dependency order (userdb, location, calendar), each
+    from the addresses bound before it; the calendar advertises the
+    address it bound.  The config is built from the bound addresses.
+    """
 
     def __init__(self, clock=None):
         self.clock = clock if clock is not None else system_clock
-        addresses = {
-            "userdb": f"127.0.0.1:{free_port()}",
-            "location": f"127.0.0.1:{free_port()}",
-            "calendar": f"127.0.0.1:{free_port()}",
-        }
-        self.cfg: DeploymentConfig = demo_deployment(addresses, self.clock())
+        now = self.clock()
+        # Users and occupancy do not depend on addresses; nothing reads
+        # an address before its server is bound.
+        addresses = dict.fromkeys(("userdb", "location", "calendar"), "127.0.0.1:0")
         self.servers: dict[str, RoleServer] = {}
         self.threads: list[threading.Thread] = []
-        for role in ("userdb", "location", "calendar"):
-            server = serve(role, self.cfg, clock=self.clock)
-            self.servers[role] = server
-            self.threads.append(start_in_thread(server))
+        cfg = demo_deployment(addresses, now)
+        users = {u.user_id: (u.email, u.fileprefix) for u in cfg.users.values()}
+        self._start(addresses, UserDatabase(ANY_LOOPBACK_PORT, users, clock=self.clock))
+        occupancy = {
+            loc.location_id: [cfg.users[a].user_id for a in loc.occupants]
+            for loc in cfg.locations.values()
+        }
+        self._start(
+            addresses,
+            LocationManager(ANY_LOOPBACK_PORT, occupancy, addresses["userdb"], clock=self.clock),
+        )
+        cfg = demo_deployment(addresses, now)  # events carry the location address
+        events = [StoredEvent(e.event_id, cfg.event_fields(e)) for e in cfg.events.values()]
+        self._start(
+            addresses,
+            CalendarServer(ANY_LOOPBACK_PORT, events, None, addresses["userdb"], clock=self.clock),
+        )
+        self.cfg: DeploymentConfig = demo_deployment(addresses, now)
+
+    def _start(self, addresses: dict[str, str], server: RoleServer) -> None:
+        addresses[server.role] = server.address
+        self.servers[server.role] = server
+        self.threads.append(start_in_thread(server))
 
     def request_totals(self) -> dict[str, int]:
         return {role: server.request_count() for role, server in self.servers.items()}

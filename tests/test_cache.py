@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from conftest import Graph, node_description
+from conftest import FakeClock, Graph, node_description
 
 from namechain.cache import NameCache, cached_resolve
 from namechain.names import LocalName, Name, parse_name, serialize_name
@@ -163,6 +163,25 @@ def test_cached_resolve_is_transparent_and_saves_work(fake_clock):
     refreshed = cached_resolve(ctx, cache, name)
     assert resolver.calls == 2
     assert refreshed.validity.expires_at == fake_clock() + 1_000
+
+
+def test_cached_resolve_misses_once_an_attribute_mapping_expires():
+    clock = FakeClock(0)
+    graph = Graph(
+        {"a": {"x": "b", "p": "c"}, "b": {"y": "c"}},
+        validity=Validity(10_000),
+        edge_validities={("a", "p"): Validity(5)},
+    )
+    ctx = ResolveContext(registry=graph.registry, initial=graph.resolver("a"), clock=clock)
+    cache = NameCache(capacity=4)
+    name = parse_name("(x y[u=(p)])")
+
+    first = cached_resolve(ctx, cache, name)
+    assert first.validity == Validity(5)
+    clock.advance(4)
+    assert cached_resolve(ctx, cache, name) is first  # served from cache
+    clock.advance(1)
+    assert cache.get(name, clock()) is None  # so cached_resolve resolves again
 
 
 class _LinearScanCache:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import FakeClock
 
 from namechain import kit, wire
+from namechain.bench import SCENARIOS, manual_discover
 from namechain.names import (
     LocalName,
     parse_name,
@@ -13,7 +15,8 @@ from namechain.names import (
     serialize_resource_literal,
 )
 from namechain.resolver import NotBoundError, ResolveContext, UnknownTypeError, Validity, resolve
-from namechain.resources import MalformedSpecError
+from namechain.resources import MalformedSpecError, ResourceDescription
+from namechain.servers import CalendarServer, StoredEvent
 
 T0 = 1_754_640_000_000  # 2025-08-08 08:00:00 UTC
 USER_A = bytes(range(16))
@@ -269,23 +272,23 @@ def _time_period_context(fake_clock, specs, registry=None):
     return ResolveContext(registry=registry, initial=registry.instantiate(period), clock=fake_clock)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        b"garbage",
-        kit.encode_event_spec(_event_fields()).replace(b"start=", b"start=oops-"),
-        kit.encode_event_spec(_event_fields()) + "file.x=http://h/a\u3000b\n".encode(),
-    ],
-)
-@pytest.mark.parametrize("text", ["(meeting)", "(meeting location)", "(meeting moderator email)"])
+MALFORMED_EVENT_SPECS = [
+    b"garbage",
+    kit.encode_event_spec(_event_fields()).replace(b"start=", b"start=oops-"),
+    kit.encode_event_spec(_event_fields()) + "file.x=http://h/a\u3000b\n".encode(),
+]
+EVENT_STEP_NAMES = ["(meeting)", "(meeting location)", "(meeting moderator email)"]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_EVENT_SPECS)
+@pytest.mark.parametrize("text", EVENT_STEP_NAMES)
 def test_malformed_event_spec_is_rejected_where_the_name_ends_and_beyond(fake_clock, spec, text):
     ctx = _time_period_context(fake_clock, [spec])
     with pytest.raises(MalformedSpecError):
         resolve(ctx, parse_name(text))
 
 
-def test_event_spec_is_decoded_once_per_resolution(fake_clock, monkeypatch):
-    fields = _event_fields()
+def _count_event_decodes(monkeypatch):
     decoded = []
     original = kit.parse_event_spec
 
@@ -294,6 +297,12 @@ def test_event_spec_is_decoded_once_per_resolution(fake_clock, monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(kit, "parse_event_spec", counting)
+    return decoded
+
+
+def test_event_spec_is_decoded_once_per_resolution(fake_clock, monkeypatch):
+    fields = _event_fields()
+    decoded = _count_event_decodes(monkeypatch)
     ctx = _time_period_context(fake_clock, [kit.encode_event_spec(fields)])
     for text, expected in [
         ("(meeting location)", fields.location),
@@ -312,6 +321,85 @@ def test_decoded_event_is_not_handed_to_a_registry_without_the_event_type(fake_c
     assert resolve(ctx, parse_name("(meeting)")).description.spec == spec
     with pytest.raises(UnknownTypeError):
         resolve(ctx, parse_name("(meeting location)"))
+
+
+# --- a calendar server resolves from the events it decoded when built
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_calendar_server_resolves_its_own_events_without_decoding_them(
+    fake_deployment, monkeypatch, scenario
+):
+    calendar = fake_deployment.servers["calendar"]
+    decoded = _count_event_decodes(monkeypatch)
+    request = f"RESOLVE {kit.CALENDAR_RESOURCE_ID.hex()} {SCENARIOS[scenario].name_text}"
+    (line,) = calendar.process_line(request)
+    assert decoded == []
+    expected = manual_discover(fake_deployment.cfg, scenario, clock=fake_deployment.clock)
+    assert wire.parse_ok_resolution(line.split(" ")).description == expected
+
+
+def _remote_period_context(fake_deployment, monkeypatch, spec):
+    """A period on another calendar, resolved by the deployment's calendar server."""
+    calendar = fake_deployment.servers["calendar"]
+    other = "127.0.0.1:7003"
+    assert other != calendar.advertised
+    asked = []
+
+    def query_events(address, start, end, tag, timeout=wire.DEFAULT_TIMEOUT):
+        asked.append(address)
+        return [spec]
+
+    monkeypatch.setattr(wire, "query_events", query_events)
+    start, end = kit.day_bounds(fake_deployment.clock())
+    period = calendar.registry.instantiate(kit.time_period_description(other, start, end))
+    ctx = ResolveContext(registry=calendar.registry, initial=period, clock=fake_deployment.clock)
+    return ctx, asked
+
+
+@pytest.mark.parametrize("text", EVENT_STEP_NAMES)
+def test_calendar_server_decodes_an_event_of_another_calendar_once(
+    fake_deployment, monkeypatch, text
+):
+    cfg = fake_deployment.cfg
+    # the standup with a tag of its own: not byte-equal to any event the
+    # server holds
+    fields = cfg.event_fields(cfg.events["standup"])
+    spec = kit.encode_event_spec(replace(fields, tags=("meeting", "remote")))
+    ctx, asked = _remote_period_context(fake_deployment, monkeypatch, spec)
+    decoded = _count_event_decodes(monkeypatch)
+    resolution = resolve(ctx, parse_name(text))
+    assert decoded == [spec]
+    assert asked == ["127.0.0.1:7003"]
+    expected = {
+        "(meeting)": ResourceDescription(kit.EVENT_TYPE, spec),
+        "(meeting location)": fields.location,
+        "(meeting moderator email)": kit.string_description(cfg.users["alice"].email),
+    }[text]
+    assert resolution.description == expected
+
+
+@pytest.mark.parametrize("spec", MALFORMED_EVENT_SPECS, ids=["garbage", "bad-start", "bad-url"])
+@pytest.mark.parametrize("text", EVENT_STEP_NAMES)
+def test_calendar_server_rejects_a_malformed_event_of_another_calendar(
+    fake_deployment, monkeypatch, spec, text
+):
+    ctx, _ = _remote_period_context(fake_deployment, monkeypatch, spec)
+    with pytest.raises(MalformedSpecError) as excinfo:
+        resolve(ctx, parse_name(text))
+    assert excinfo.value.type_id == kit.EVENT_TYPE
+
+
+def test_calendar_server_refuses_an_event_that_does_not_decode():
+    fields = _event_fields(tags=("meeting", "we/ekly"))
+    with pytest.raises(MalformedSpecError, match="tag must be a token"):
+        CalendarServer(("127.0.0.1", 0), [StoredEvent(bytes(16), fields)], None, "127.0.0.1:7001")
+
+
+def test_stored_event_holds_the_decoding_of_the_bytes_it_serves():
+    # a tag with a line break in it encodes as two tag lines
+    event = StoredEvent(bytes(16), _event_fields(tags=("meeting\ntag=weekly",)))
+    assert event.spec == kit.encode_event_spec(_event_fields(tags=("meeting", "weekly")))
+    assert event.fields == _event_fields(tags=("meeting", "weekly"))
 
 
 # --- calendar native namespace

@@ -153,6 +153,19 @@ def test_depth_budget_counts_attribute_resolution():
         resolve(_ctx(graph, "a", max_depth=2), name)
 
 
+@pytest.mark.parametrize("text", ["(x y[u=(p)])", "(x[u=(p)] y)", "(x y[u=(x[v=(p)] y)])"])
+def test_attribute_resolutions_join_the_validity_intersection(text):
+    # every mapping lives to 10 000 except (p) from a, which only an
+    # attribute uses
+    graph = Graph(
+        {"a": {"x": "b", "p": "c"}, "b": {"y": "c"}},
+        validity=Validity(10_000),
+        edge_validities={("a", "p"): Validity(5)},
+    )
+    resolution = resolve(_ctx(graph, "a"), parse_name(text))
+    assert resolution == Resolution(node_description("c"), Validity(5))
+
+
 @pytest.mark.parametrize(
     "text,step",
     [
