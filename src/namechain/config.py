@@ -225,7 +225,8 @@ def parse_config(text: str) -> DeploymentConfig:
                 seen_files.add(name)
                 files.append((name, value))
             try:
-                start, end = int(start_text), int(end_text)
+                start = wire.parse_int(start_text, signed=True)
+                end = wire.parse_int(end_text, signed=True)
             except ValueError:
                 raise ConfigError(start_line, "start and end must be integer milliseconds") from None
             if start >= end:

@@ -51,6 +51,7 @@ from .names import (
     LocalName,
     NameSyntaxError,
     _TOKEN_RE,
+    _build,
     parse_resource_literal,
     serialize_resource_literal,
 )
@@ -115,42 +116,48 @@ def period_bounds(period_name: str, now: int) -> Optional[tuple[int, int]]:
 
 # --- description constructors
 
+def _describe(type_id: bytes, spec: bytes) -> ResourceDescription:
+    # Every type id here has its length and every spec is bytes, all that
+    # ResourceDescription checks, so build it without checking again.
+    return _build(ResourceDescription, {"type_id": type_id, "spec": spec})
+
+
 def string_description(text: str) -> ResourceDescription:
-    return ResourceDescription(STRING_TYPE, text.encode("utf-8"))
+    return _describe(STRING_TYPE, text.encode("utf-8"))
 
 
 def file_description(url: str) -> ResourceDescription:
-    return ResourceDescription(FILE_TYPE, url.encode("utf-8"))
+    return _describe(FILE_TYPE, url.encode("utf-8"))
 
 
 def file_collection_description(url_prefix: str) -> ResourceDescription:
-    return ResourceDescription(FILE_COLLECTION_TYPE, url_prefix.encode("utf-8"))
+    return _describe(FILE_COLLECTION_TYPE, url_prefix.encode("utf-8"))
 
 
 def file_set_description(files: tuple[tuple[str, str], ...]) -> ResourceDescription:
-    return ResourceDescription(FILE_SET_TYPE, encode_file_set_spec(files))
+    return _describe(FILE_SET_TYPE, encode_file_set_spec(files))
 
 
 def location_description(manager_address: str, location_id: bytes) -> ResourceDescription:
-    return ResourceDescription(LOCATION_TYPE, wire.encode_addr_id_spec(manager_address, location_id))
+    return _describe(LOCATION_TYPE, wire.encode_addr_id_spec(manager_address, location_id))
 
 
 def calendar_description(server_address: str) -> ResourceDescription:
-    return ResourceDescription(CALENDAR_TYPE, server_address.encode("utf-8"))
+    return _describe(CALENDAR_TYPE, server_address.encode("utf-8"))
 
 
 def time_period_description(server_address: str, start: int, end: int) -> ResourceDescription:
     if start >= end:
         raise ValueError("time period start must precede end")
-    return ResourceDescription(TIME_PERIOD_TYPE, f"{server_address} {start} {end}".encode("utf-8"))
+    return _describe(TIME_PERIOD_TYPE, f"{server_address} {start} {end}".encode("utf-8"))
 
 
 def user_description(userdb_address: str, user_id: bytes) -> ResourceDescription:
-    return ResourceDescription(USER_TYPE, wire.encode_addr_id_spec(userdb_address, user_id))
+    return _describe(USER_TYPE, wire.encode_addr_id_spec(userdb_address, user_id))
 
 
 def event_description(fields: "EventFields") -> ResourceDescription:
-    return ResourceDescription(EVENT_TYPE, encode_event_spec(fields))
+    return _describe(EVENT_TYPE, encode_event_spec(fields))
 
 
 # --- specification codecs
@@ -178,7 +185,8 @@ def parse_time_period_spec(spec: bytes) -> tuple[str, int, int]:
         raise MalformedSpecError(TIME_PERIOD_TYPE, "expected 'host:port <start-ms> <end-ms>'")
     try:
         wire.parse_address(parts[0])
-        start, end = int(parts[1]), int(parts[2])
+        start = wire.parse_int(parts[1], signed=True)
+        end = wire.parse_int(parts[2], signed=True)
     except ValueError as exc:
         raise MalformedSpecError(TIME_PERIOD_TYPE, str(exc)) from None
     if start >= end:
@@ -280,7 +288,8 @@ def parse_event_spec(spec: bytes) -> EventFields:
     except NameSyntaxError as exc:
         raise MalformedSpecError(EVENT_TYPE, f"bad location literal: {exc}") from None
     try:
-        start, end = int(once["start"]), int(once["end"])
+        start = wire.parse_int(once["start"], signed=True)
+        end = wire.parse_int(once["end"], signed=True)
     except ValueError:
         raise MalformedSpecError(EVENT_TYPE, "start and end must be integers") from None
     if start >= end:
@@ -437,7 +446,7 @@ class TimePeriodResolver:
         # for less than the floor.
         now = self.clock()
         expires_at = max(event.start, now + PERIOD_TAG_MIN_TTL_MS)
-        return ResourceDescription(EVENT_TYPE, spec), Validity(expires_at)
+        return _describe(EVENT_TYPE, spec), Validity(expires_at)
 
     def resolver_for(self, description: ResourceDescription) -> Optional[EventResolver]:
         spec, event = self._decoded or (None, None)

@@ -280,16 +280,27 @@ class _Parser:
         if self.peek() != "]":
             raise self.error("expected ']' after resource specification")
         self.pos += 1
-        return ResourceDescription(bytes.fromhex(id_hex), bytes.fromhex(spec_hex))
+        # The identifier has its length and both fields decode to bytes:
+        # all that ResourceDescription checks.
+        return _build(
+            ResourceDescription, {"type_id": bytes.fromhex(id_hex), "spec": bytes.fromhex(spec_hex)}
+        )
 
 
 def parse_name(text: str) -> Name:
     """Parse a name in canonical syntax; the whole input must be one name."""
     plain = _PLAIN_NAME_RE.fullmatch(text)
     if plain is not None:
-        tokens = plain[1].split()
-        locals_ = tuple([_build(LocalName, {"primary": t, "attributes": ()}) for t in tokens])
-        return _build(Name, {"locals": locals_})
+        # _build, inlined: names pass here once per hop on both ends.
+        new = object.__new__
+        locals_ = []
+        for token in plain[1].split():
+            local = new(LocalName)
+            local.__dict__.update(primary=token, attributes=())
+            locals_.append(local)
+        name = new(Name)
+        name.__dict__["locals"] = tuple(locals_)
+        return name
     parser = _Parser(text)
     name = parser.name()
     parser.finish()
@@ -325,4 +336,4 @@ def _serialize_local(local: LocalName) -> str:
 
 def serialize_name(name: Name) -> str:
     """Render a name in canonical syntax; inverse of parse_name."""
-    return "(" + " ".join(_serialize_local(local) for local in name.locals) + ")"
+    return "(" + " ".join([_serialize_local(local) for local in name.locals]) + ")"

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, NamedTuple, Optional, Protocol
 
 from .names import MAX_NESTING, LocalName, Name, NameValue, ResourceValue, _build
 from .resources import ResourceDescription, TypeRegistry
@@ -56,8 +56,10 @@ class NegativeDurationError(ValueError):
     """Validity durations must be non-negative."""
 
 
-@dataclass(frozen=True)
-class Validity:
+# Validity and Resolution are built on every step and every hop; as
+# named tuples each costs one allocation, and they compare and hash by
+# their fields.
+class Validity(NamedTuple):
     """Absolute instant (ms since epoch) after which a mapping is stale."""
 
     expires_at: int
@@ -74,8 +76,7 @@ def validity_from_duration(now: int, duration_ms: int) -> Validity:
     return Validity(now + duration_ms)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """Result of resolving a name: final description plus end-to-end validity."""
 
     description: ResourceDescription

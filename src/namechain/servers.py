@@ -15,7 +15,16 @@ All three speak the same line protocol but expose different verbs:
 
 Each server runs one thread per connection and handles the requests on
 a connection sequentially; shared state (occupancy, per-verb counters)
-sits behind locks so concurrent connections interleave safely.
+sits behind locks so concurrent connections interleave safely.  A
+handler reads and answers through ``wire.LineConnection``: one recv()
+per read and one send per answer on a blocking socket, which the kernel
+sheds after 60 s without a request (``_LineHandler.timeout``).  A line
+over ``wire.MAX_LINE_BYTES`` or not UTF-8 gets BADREQ, then the
+connection closes.
+
+A server that resolves builds the context of each resource it hosts
+once, when it is built; a RESOLVE only looks it up.  Those initial
+resolvers hold no per-request state and read occupancy when they run.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from .resolver import (
     DepthExceededError,
     NotBoundError,
     ResolveContext,
-    Resolver,
     TransportError,
     UnknownTypeError,
     resolve,
@@ -65,40 +73,32 @@ class StoredEvent:
         self.fields = kit.parse_event_spec(self.spec)
 
 
-class _LineHandler(socketserver.StreamRequestHandler):
+class _LineHandler(socketserver.BaseRequestHandler):
     timeout = 60  # idle persistent connections are shed
 
     def handle(self) -> None:
         server: RoleServer = self.server  # type: ignore[assignment]
+        conn = wire.LineConnection(self.request, self.timeout)
         while True:
             try:
-                raw = self.rfile.readline(wire.MAX_LINE_BYTES + 1)
-            except (OSError, ValueError):
+                line = conn.read_line()
+            except wire.BadLine as exc:
+                self._reply(conn, [wire.error_line("BADREQ", f"request {exc}")])
                 return
-            if not raw:
-                return
-            if not raw.endswith(b"\n"):
-                if len(raw) > wire.MAX_LINE_BYTES:
-                    self._reply([wire.error_line("BADREQ", "request line too long")])
-                return
-            try:
-                line = raw[:-1].decode("utf-8")
-            except UnicodeDecodeError:
-                self._reply([wire.error_line("BADREQ", "request is not UTF-8")])
+            except OSError:  # EOF, reset, or idle past the timeout
                 return
             try:
                 responses = server.process_line(line)
             except Exception:  # defensive: never kill the connection loop
                 log.exception("unhandled error processing %r", line)
                 responses = [wire.error_line("INTERNAL", "unhandled error")]
-            if not self._reply(responses):
+            if not self._reply(conn, responses):
                 return
 
-    def _reply(self, lines: list[str]) -> bool:
+    @staticmethod
+    def _reply(conn: wire.LineConnection, lines: list[str]) -> bool:
         try:
-            payload = "".join(line + "\n" for line in lines).encode("utf-8")
-            self.wfile.write(payload)
-            self.wfile.flush()
+            conn.send_lines(lines)
             return True
         except OSError:
             return False
@@ -110,6 +110,9 @@ class RoleServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
     role = "?"
+    # Roles that speak RESOLVE: the resources they resolve from, keyed by
+    # the id as a RESOLVE line writes it (32 lowercase hex digits).
+    hosted: dict[str, ResolveContext]
 
     def __init__(self, listen: tuple[str, int], clock: Clock = system_clock) -> None:
         super().__init__(listen, _LineHandler)
@@ -165,15 +168,11 @@ class RoleServer(socketserver.ThreadingTCPServer):
         id_hex, sep, name_text = rest.partition(" ")
         if not sep:
             return [wire.error_line("BADREQ", "expected RESOLVE <resource-id> <name>")]
-        initial = self._initial_for(wire.parse_entity_id(id_hex, "resource id"))
-        if initial is None:
+        ctx = self.hosted.get(id_hex)
+        if ctx is None:
+            wire.parse_entity_id(id_hex, "resource id")  # BADREQ if malformed
             return [wire.error_line("NOTFOUND", id_hex)]
-        ctx = ResolveContext(registry=self.registry, initial=initial, clock=self.clock)
         return [wire.format_ok_resolution(resolve(ctx, parse_name(name_text)))]
-
-    def _initial_for(self, resource_id: bytes) -> Optional[Resolver]:
-        """Resolver for a resource hosted here, or None if there is none."""
-        return None
 
 
 class UserDatabase(RoleServer):
@@ -194,7 +193,7 @@ class UserDatabase(RoleServer):
         return {"GETUSER": self._handle_getuser}
 
     def _handle_getuser(self, rest: str) -> list[str]:
-        user_id = wire.parse_entity_id(rest.strip(), "user id")
+        user_id = wire.parse_entity_id(rest, "user id")
         with self._state_lock:
             record = self.users.get(user_id)
         if record is None:
@@ -217,8 +216,15 @@ class LocationManager(RoleServer):
     ) -> None:
         super().__init__(listen, clock)
         self.occupancy = {loc: list(users) for loc, users in occupancy.items()}
-        self.userdb_address = userdb_address
         self.registry = kit.build_registry(clock, userdb_address)
+        self.hosted = {
+            location_id.hex(): ResolveContext(
+                self.registry,
+                kit.LocationStateResolver(self._occupants_of(location_id), userdb_address, clock),
+                clock,
+            )
+            for location_id in self.occupancy
+        }
 
     def _verbs(self):
         return {
@@ -229,25 +235,19 @@ class LocationManager(RoleServer):
 
     def _occupants_of(self, location_id: bytes) -> Callable[[], list[bytes]]:
         def snapshot() -> list[bytes]:
+            # SETOCC replaces a location's list and never changes one in
+            # place, so the list itself is a snapshot.
             with self._state_lock:
-                return list(self.occupancy[location_id])
+                return self.occupancy[location_id]
 
         return snapshot
 
-    def _initial_for(self, resource_id: bytes) -> Optional[Resolver]:
-        with self._state_lock:
-            if resource_id not in self.occupancy:
-                return None
-        return kit.LocationStateResolver(
-            self._occupants_of(resource_id), self.userdb_address, self.clock
-        )
-
     def _handle_occupancy(self, rest: str) -> list[str]:
-        location_id = wire.parse_entity_id(rest.strip(), "location id")
+        location_id = wire.parse_entity_id(rest, "location id")
         with self._state_lock:
             users = self.occupancy.get(location_id)
         if users is None:
-            return [wire.error_line("NOTFOUND", rest.strip())]
+            return [wire.error_line("NOTFOUND", rest)]
         return [" ".join(["OK", str(len(users))] + [u.hex() for u in users])]
 
     def _handle_setocc(self, rest: str) -> list[str]:
@@ -256,7 +256,7 @@ class LocationManager(RoleServer):
             return [wire.error_line("BADREQ", "expected SETOCC <location-id> <n> <user-id>*")]
         location_id = wire.parse_entity_id(parts[0], "location id")
         try:
-            count = int(parts[1])
+            count = wire.parse_int(parts[1])
         except ValueError:
             return [wire.error_line("BADREQ", "occupant count must be an integer")]
         ids = [wire.parse_entity_id(p, "user id") for p in parts[2:]]
@@ -285,7 +285,6 @@ class CalendarServer(RoleServer):
         super().__init__(listen, clock)
         self.events = list(events)
         self.advertised = advertised or self.address
-        self.userdb_address = userdb_address
         # Time periods minted by this calendar point back at it; resolve
         # them against local state instead of a loopback wire call, from
         # the events as decoded when they were stored.  No verb writes
@@ -296,6 +295,11 @@ class CalendarServer(RoleServer):
             events_query=self._events_query,
             known_events={ev.spec: ev.fields for ev in self.events},
         )
+        self.hosted = {
+            kit.CALENDAR_RESOURCE_ID.hex(): ResolveContext(
+                self.registry, kit.CalendarResolver(self.advertised, clock), clock
+            )
+        }
 
     def _verbs(self):
         return {"RESOLVE": self._handle_resolve, "EVENTS": self._handle_events}
@@ -315,17 +319,13 @@ class CalendarServer(RoleServer):
             return self.query_local(start, end, tag)
         return wire.query_events(address, start, end, tag)
 
-    def _initial_for(self, resource_id: bytes) -> Optional[Resolver]:
-        if resource_id != kit.CALENDAR_RESOURCE_ID:
-            return None
-        return kit.CalendarResolver(self.advertised, self.clock)
-
     def _handle_events(self, rest: str) -> list[str]:
         parts = rest.split(" ")
         if len(parts) != 3:
             return [wire.error_line("BADREQ", "expected EVENTS <start-ms> <end-ms> <tag>")]
         try:
-            start, end = int(parts[0]), int(parts[1])
+            start = wire.parse_int(parts[0], signed=True)
+            end = wire.parse_int(parts[1], signed=True)
         except ValueError:
             return [wire.error_line("BADREQ", "start and end must be integer milliseconds")]
         tag = parts[2]

@@ -28,19 +28,32 @@ Any failure is ``ERR <code> <detail>`` with code one of NOTBOUND,
 UNKNOWNTYPE, DEPTH, NOTFOUND, BADREQ, INTERNAL; the client maps each
 code back onto the corresponding resolution error.
 
+Integer fields are ASCII decimal digits, with one leading ``-`` only on
+instants (``parse_int``); signs, separators and padding are bad requests.
+
 Connections are reused when possible (a small per-address pool) but the
 protocol itself is stateless: one request, one response, in order.
+
+Both ends use blocking sockets whose every send and receive the kernel
+bounds (``SO_SNDTIMEO``/``SO_RCVTIMEO``, set by ``set_io_timeout``), so
+reading or writing a line costs one system call, not a readiness poll
+first.  A client connects within its timeout (``socket.create_connection``)
+and then waits at most that long on each send and receive; a server sheds
+a connection idle for 60 s.  A call the bound cuts short fails with EAGAIN,
+reported as "timed out".  ``LineConnection`` is the one line reader and
+writer of both ends.
 """
 
 from __future__ import annotations
 
 import re
 import socket
+import struct
 import threading
 from collections import deque
 from typing import Callable, Optional
 
-from .names import Name, serialize_name
+from .names import Name, _build, serialize_name
 from .resolver import (
     DepthExceededError,
     NotBoundError,
@@ -55,6 +68,7 @@ MAX_LINE_BYTES = 65536
 DEFAULT_TIMEOUT = 5.0
 ENTITY_ID_LENGTH = 16
 _MAX_IDLE_PER_ADDRESS = 4  # pooled idle connections kept per peer
+_RECV_BYTES = 65536  # the most one receive asks the kernel for
 
 REMOTE_TYPE = derive_type_id("namechain.type.remote.v1")
 
@@ -71,11 +85,22 @@ def unhex_field(text: str) -> bytes:
     return bytes.fromhex(text)
 
 
+def parse_int(text: str, signed: bool = False) -> int:
+    """Decode a decimal integer: ASCII digits, one leading '-' if `signed`.
+
+    int() also takes '+', '_' separators, surrounding whitespace and
+    non-ASCII digits; no wire, spec or config field allows them.
+    """
+    if text.isascii() and (text.isdigit() or signed and text[:1] == "-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"expected a decimal integer, got {text!r}")
+
+
 def parse_address(address: str) -> tuple[str, int]:
     host, sep, port_text = address.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {address!r}")
-    port = int(port_text)
+    port = parse_int(port_text)
     if not 0 < port < 65536:
         raise ValueError(f"port out of range in address {address!r}")
     return host, port
@@ -127,14 +152,17 @@ def parse_ok_resolution(fields: list[str]) -> Resolution:
     if len(fields) != 4:
         raise TransportError(f"malformed RESOLVE response ({len(fields)} fields)")
     try:
-        expires_at = int(fields[1])
+        expires_at = parse_int(fields[1], signed=True)
         type_id = bytes.fromhex(fields[2])
         spec = unhex_field(fields[3])
     except ValueError as exc:
         raise TransportError(f"malformed RESOLVE response: {exc}") from None
     if len(type_id) != TYPE_ID_LENGTH:
         raise TransportError("malformed RESOLVE response: bad type identifier length")
-    return Resolution(ResourceDescription(type_id, spec), Validity(expires_at))
+    # type_id has its length and spec is bytes, all that ResourceDescription
+    # checks, so build it without checking again.
+    description = _build(ResourceDescription, {"type_id": type_id, "spec": spec})
+    return Resolution(description, Validity(expires_at))
 
 
 def error_line(code: str, detail: str = "") -> str:
@@ -162,69 +190,120 @@ def raise_wire_error(code: str, detail: str) -> None:
     raise TransportError(f"remote error {code}: {detail or '-'}")
 
 
-# --- pooled client connections
+# --- line connections, both ends
+
+# struct timeval as SO_RCVTIMEO and SO_SNDTIMEO take it: tv_sec and
+# tv_usec, two native C longs, as Linux defines time_t and suseconds_t.
+# Packed here and nowhere else.
+_TIMEVAL = struct.Struct("@ll")
+
+
+def set_io_timeout(sock: socket.socket, timeout: float) -> None:
+    """Bound each send and receive on a blocking socket to `timeout` seconds.
+
+    The kernel enforces the bound: a call that runs out fails with
+    EAGAIN (BlockingIOError).  A zero timeout becomes 1 us, since a zero
+    timeval would mean no bound at all.
+    """
+    micros = max(1, round(timeout * 1_000_000))
+    timeval = _TIMEVAL.pack(micros // 1_000_000, micros % 1_000_000)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+
 
 class _PeerClosed(ConnectionError):
     """The peer closed the connection before the line began."""
 
 
-class _Conn:
-    __slots__ = ("sock", "rfile")
+class BadLine(ValueError):
+    """A received line is over MAX_LINE_BYTES or is not UTF-8."""
 
-    def __init__(self, sock: socket.socket) -> None:
+
+class LineConnection:
+    """A blocking socket carrying LF-terminated lines, and its read buffer.
+
+    Each receive is one recv() into the buffer; bytes after the line
+    returned stay there for the next one, so lines that arrive together
+    are each scanned and copied once.
+    """
+
+    __slots__ = ("sock", "timeout", "_buf", "_start")
+
+    def __init__(self, sock: socket.socket, timeout: float) -> None:
+        sock.setblocking(True)
         self.sock = sock
-        self.rfile = sock.makefile("rb")
+        self.set_timeout(timeout)
+        self._buf = bytearray()
+        self._start = 0  # where the unread bytes begin in _buf
 
-    def send_line(self, line: str) -> None:
-        payload = line.encode("utf-8") + b"\n"
-        if len(payload) > MAX_LINE_BYTES:
-            raise TransportError("request line too long")
-        self.sock.sendall(payload)
+    def set_timeout(self, timeout: float) -> None:
+        set_io_timeout(self.sock, timeout)
+        self.timeout = timeout
 
-    def recv_line(self) -> str:
-        raw = self.rfile.readline(MAX_LINE_BYTES + 1)
-        if not raw:
-            raise _PeerClosed("connection closed by peer")
-        if not raw.endswith(b"\n"):
-            if len(raw) > MAX_LINE_BYTES:
-                raise TransportError("response line too long")
-            raise ConnectionError("connection closed mid-line")
+    def read_line(self) -> str:
+        """The next line without its LF.
+
+        Raises BadLine for content over MAX_LINE_BYTES (as soon as that
+        many bytes are in without an LF) or not UTF-8, _PeerClosed on EOF
+        before any byte, ConnectionError on EOF mid-line and
+        BlockingIOError when the receive bound runs out.
+        """
+        buf = self._buf
+        start = scan = self._start
+        while (end := buf.find(b"\n", scan)) < 0:
+            if len(buf) - start > MAX_LINE_BYTES:
+                raise BadLine("line too long")
+            if start:
+                del buf[:start]  # drop the lines already returned
+                self._start = start = 0
+            scan = len(buf)
+            chunk = self.sock.recv(_RECV_BYTES)
+            if not chunk:
+                if buf:
+                    raise ConnectionError("connection closed mid-line")
+                raise _PeerClosed("connection closed by peer")
+            buf += chunk
+        self._start = end + 1
+        if end - start > MAX_LINE_BYTES:
+            raise BadLine("line too long")
         try:
-            return raw[:-1].decode("utf-8")
+            return buf[start:end].decode("utf-8")
         except UnicodeDecodeError:
-            raise TransportError("response is not UTF-8") from None
+            raise BadLine("is not UTF-8") from None
+
+    def send_lines(self, lines: list[str]) -> None:
+        self.sock.sendall(("\n".join(lines) + "\n").encode("utf-8"))
 
     def close(self) -> None:
-        try:
-            self.rfile.close()
-        except OSError:
-            pass
         try:
             self.sock.close()
         except OSError:
             pass
 
 
+# --- pooled client connections
+
 class _ConnectionPool:
     def __init__(self) -> None:
-        self._idle: dict[str, deque[_Conn]] = {}
+        self._idle: dict[str, deque[LineConnection]] = {}
         self._lock = threading.Lock()
 
-    def acquire(self, address: str, timeout: float) -> tuple[_Conn, bool]:
+    def acquire(self, address: str, timeout: float) -> tuple[LineConnection, bool]:
         with self._lock:
             queue = self._idle.get(address)
-            if queue:
-                conn = queue.popleft()
-                conn.sock.settimeout(timeout)
-                return conn, True
+            conn = queue.popleft() if queue else None
+        if conn is not None:
+            if conn.timeout != timeout:
+                conn.set_timeout(timeout)
+            return conn, True
         host, port = parse_address(address)
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {address}: {exc}") from None
-        return _Conn(sock), False
+        return LineConnection(sock, timeout), False
 
-    def release(self, address: str, conn: _Conn) -> None:
+    def release(self, address: str, conn: LineConnection) -> None:
         with self._lock:
             queue = self._idle.setdefault(address, deque())
             if len(queue) < _MAX_IDLE_PER_ADDRESS:
@@ -256,16 +335,18 @@ def _roundtrip(
     extra_count: Optional[Callable[[list[str]], int]] = None,
 ) -> tuple[list[str], list[str]]:
     """Send one request line; return (first response fields, extra lines)."""
+    payload = (request + "\n").encode("utf-8")
+    if len(payload) > MAX_LINE_BYTES + 1:
+        raise TransportError("request line too long")
     for attempt in (0, 1):
         conn, reused = _pool.acquire(address, timeout)
         fields: Optional[list[str]] = None
         try:
-            conn.send_line(request)
-            fields = conn.recv_line().split(" ")
+            conn.sock.sendall(payload)
+            fields = conn.read_line().split(" ")
             extras: list[str] = []
             if fields[0] == "OK" and extra_count is not None:
-                for _ in range(extra_count(fields)):
-                    extras.append(conn.recv_line())
+                extras = [conn.read_line() for _ in range(extra_count(fields))]
             _pool.release(address, conn)
             return fields, extras
         except OSError as exc:
@@ -282,7 +363,11 @@ def _roundtrip(
                 and isinstance(exc, (BrokenPipeError, ConnectionResetError, _PeerClosed))
             ):
                 continue
-            raise TransportError(f"request to {address} failed: {exc}") from None
+            detail = "timed out" if isinstance(exc, BlockingIOError) else exc
+            raise TransportError(f"request to {address} failed: {detail}") from None
+        except BadLine as exc:
+            conn.close()
+            raise TransportError(f"response {exc}") from None
         except TransportError:
             conn.close()
             raise
@@ -321,7 +406,7 @@ def occupancy(address: str, location_id: bytes, timeout: float = DEFAULT_TIMEOUT
     fields, _ = _roundtrip(address, f"OCCUPANCY {location_id.hex()}", timeout)
     fields = _expect_ok(fields, "OCCUPANCY")
     try:
-        count = int(fields[1])
+        count = parse_int(fields[1])
         ids = [parse_entity_id(f, "user identifier") for f in fields[2:]]
     except (IndexError, ValueError) as exc:
         raise TransportError(f"malformed OCCUPANCY response: {exc}") from None
@@ -344,7 +429,7 @@ def query_events(
     """Event specifications within [start, end) carrying `tag`, in order."""
     def count(fields: list[str]) -> int:
         try:
-            return int(fields[1])
+            return parse_int(fields[1])
         except (IndexError, ValueError):
             raise TransportError("malformed EVENTS response") from None
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import nested_name
 
-from namechain import kit, wire
+from namechain import kit, servers, wire
 from namechain.config import ConfigError, parse_config
 from namechain.names import parse_name
 from namechain.resolver import (
@@ -21,7 +21,7 @@ from namechain.resolver import (
     resolve,
 )
 from namechain.resources import MalformedSpecError, ResourceDescription
-from namechain.servers import UserDatabase
+from namechain.servers import LocationManager, UserDatabase, start_in_thread
 
 
 # --- framing and field encodings (no sockets)
@@ -385,12 +385,14 @@ class _ScriptedPeer:
     `answer` gets the 1-based number of the request line over all
     connections and returns "reply" (send `reply`, a GETUSER answer by
     default, and keep the connection), "close" (send it, then close the
-    connection) or "silent" (never answer).
+    connection) or "silent" (never answer).  With `segment` set, the
+    reply goes out in segments of that many bytes, one at a time.
     """
 
-    def __init__(self, answer, reply=b"OK a@example.org file://h/a\n"):
+    def __init__(self, answer, reply=b"OK a@example.org file://h/a\n", segment=None):
         self.answer = answer
         self.reply = reply
+        self.segment = segment
         self.lines: list[bytes] = []
         self.connections = 0
         self._lock = threading.Lock()
@@ -419,7 +421,10 @@ class _ScriptedPeer:
                     action = self.answer(len(self.lines))
                 if action == "silent":
                     continue
-                sock.sendall(self.reply)
+                if self.segment is None:
+                    sock.sendall(self.reply)
+                else:
+                    _send_in_segments(sock, self.reply, self.segment)
                 if action == "close":
                     return
 
@@ -504,3 +509,350 @@ def test_deeply_nested_name_is_badreq(deployment, depth):
     line = f"RESOLVE {kit.CALENDAR_RESOURCE_ID.hex()} {nested_name(depth)}"
     (response,) = calendar.process_line(line)
     assert response.startswith("ERR BADREQ bad name: names nest at most 32 deep")
+
+
+# --- line framing on both ends
+
+def _send_in_segments(sock, payload, size):
+    """Send `payload` as separate TCP segments of `size` bytes."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    for i in range(0, len(payload), size):
+        sock.sendall(payload[i : i + size])
+        time.sleep(0.001)
+
+
+def _request_in_segments(address, payload, size):
+    host, port = wire.parse_address(address)
+    with socket.create_connection((host, port), timeout=5) as sock:
+        _send_in_segments(sock, payload, size)
+        sock.shutdown(socket.SHUT_WR)
+        return b"".join(iter(lambda: sock.recv(65536), b""))
+
+
+def _getuser_line(deployment):
+    alice = deployment.cfg.users["alice"]
+    return f"GETUSER {alice.user_id.hex()}\n".encode(), f"OK {alice.email} {alice.fileprefix}\n".encode()
+
+
+def test_request_in_one_byte_segments_is_served(deployment):
+    request, answer = _getuser_line(deployment)
+    assert _request_in_segments(deployment.cfg.addresses["userdb"], request, 1) == answer
+
+
+def test_two_requests_in_one_segment_get_two_answers(deployment):
+    request, answer = _getuser_line(deployment)
+    assert _raw_request(deployment.cfg.addresses["userdb"], request * 2) == answer * 2
+
+
+@pytest.mark.parametrize(
+    "extra,expected",
+    [(0, b"ERR BADREQ user id must be"), (1, b"ERR BADREQ request line too long")],
+    ids=["max", "max+1"],
+)
+def test_request_line_bound_is_max_line_bytes(deployment, extra, expected):
+    content = b"GETUSER " + b"a" * (wire.MAX_LINE_BYTES - 8 + extra)
+    response = _raw_request(deployment.cfg.addresses["userdb"], content + b"\n")
+    assert response.startswith(expected)
+    assert response.count(b"\n") == 1
+
+
+def test_overlong_request_is_refused_before_its_line_ends(deployment):
+    host, port = wire.parse_address(deployment.cfg.addresses["userdb"])
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(b"GETUSER " + b"a" * (wire.MAX_LINE_BYTES - 7))  # no LF, not closed
+        assert sock.makefile("rb").readline() == b"ERR BADREQ request line too long\n"
+
+
+@pytest.mark.parametrize(
+    "payload,expected",
+    [
+        (b"GETUSER " + b"00" * 16, b""),  # EOF mid-line: no answer, closed
+        (b"GETUSER \xff\n", b"ERR BADREQ request is not UTF-8\n"),
+        (b"GETUSER \xff\nGETUSER " + b"00" * 16 + b"\n", b"ERR BADREQ request is not UTF-8\n"),
+    ],
+    ids=["eof-mid-line", "not-utf8", "not-utf8-then-close"],
+)
+def test_malformed_request_framing(deployment, payload, expected):
+    assert _raw_request(deployment.cfg.addresses["userdb"], payload) == expected
+
+
+def test_reply_in_one_byte_segments_is_read():
+    peer = _ScriptedPeer(lambda n: "reply", segment=1)
+    try:
+        assert wire.get_user(peer.address, b"\x01" * 16, timeout=5) == ("a@example.org", "file://h/a")
+    finally:
+        peer.close()
+
+
+def test_multi_line_reply_in_one_segment_is_split():
+    peer = _ScriptedPeer(lambda n: "reply", reply=b"OK 3\n00\n-\n0102\n")
+    try:
+        for _ in range(2):  # the second request reuses the connection
+            assert wire.query_events(peer.address, 0, 1, "t", timeout=5) == [b"\x00", b"", b"\x01\x02"]
+        assert peer.connections == 1
+    finally:
+        peer.close()
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["max", "max+1"])
+def test_response_line_bound_is_max_line_bytes(extra):
+    prefix = b"OK a@x file://h/"
+    reply = prefix + b"p" * (wire.MAX_LINE_BYTES - len(prefix) + extra) + b"\n"
+    peer = _ScriptedPeer(lambda n: "reply", reply=reply)
+    try:
+        if extra:
+            with pytest.raises(TransportError, match="response line too long"):
+                wire.get_user(peer.address, b"\x01" * 16, timeout=5)
+        else:
+            _, fileprefix = wire.get_user(peer.address, b"\x01" * 16, timeout=5)
+            assert len(fileprefix) == wire.MAX_LINE_BYTES - len(b"OK a@x ")
+    finally:
+        peer.close()
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["max", "max+1"])
+def test_request_line_bound_on_the_client(extra):
+    peer = _ScriptedPeer(lambda n: "reply")
+    request = "X" * (wire.MAX_LINE_BYTES + extra)
+    try:
+        if extra:
+            with pytest.raises(TransportError, match="request line too long"):
+                wire._roundtrip(peer.address, request, 5)
+            assert peer.connections == 0
+        else:
+            wire._roundtrip(peer.address, request, 5)
+            assert peer.lines == [request.encode() + b"\n"]
+    finally:
+        peer.close()
+
+
+@pytest.mark.parametrize(
+    "reply,message",
+    [
+        (b"OK a@example.org file://h/a", "closed mid-line"),
+        (b"OK \xff file://h/a\n", "response is not UTF-8"),
+    ],
+    ids=["eof-mid-line", "not-utf8"],
+)
+def test_malformed_response_framing(reply, message):
+    peer = _ScriptedPeer(lambda n: "close", reply=reply)
+    try:
+        with pytest.raises(TransportError, match=message):
+            wire.get_user(peer.address, b"\x01" * 16, timeout=5)
+        assert len(peer.lines) == 1  # a fresh connection is never retried
+    finally:
+        peer.close()
+
+
+# --- kernel-enforced timeouts
+
+def _timeval(sock, option):
+    return wire._TIMEVAL.unpack(sock.getsockopt(socket.SOL_SOCKET, option, wire._TIMEVAL.size))
+
+
+def test_set_io_timeout_reads_back_from_the_kernel():
+    # 1.5 s is a whole number of ticks at every usual kernel HZ.
+    with socket.socket() as sock:
+        wire.set_io_timeout(sock, 1.5)
+        assert _timeval(sock, socket.SO_RCVTIMEO) == (1, 500_000)
+        assert _timeval(sock, socket.SO_SNDTIMEO) == (1, 500_000)
+
+
+def test_pooled_connections_are_blocking_with_the_callers_timeout(deployment):
+    address = deployment.cfg.addresses["userdb"]
+    wire.close_idle_connections()
+    wire.get_user(address, deployment.cfg.users["alice"].user_id, timeout=1.5)
+    (conn,) = wire._pool._idle[address]
+    assert conn.sock.gettimeout() is None
+    assert _timeval(conn.sock, socket.SO_RCVTIMEO) == (1, 500_000)
+
+
+@pytest.mark.parametrize("first,second", [(5.0, 0.3), (0.2, 0.6)], ids=["shorter", "longer"])
+def test_pooled_connection_reused_under_another_timeout_honours_it(first, second):
+    peer = _ScriptedPeer(lambda n: "reply" if n == 1 else "silent")
+    try:
+        user = b"\x01" * 16
+        wire.get_user(peer.address, user, timeout=first)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="timed out"):
+            wire.get_user(peer.address, user, timeout=second)
+        elapsed = time.monotonic() - start
+        assert 0.8 * second < elapsed < 2 * second
+        assert peer.connections == 1
+        assert len(peer.lines) == 2
+    finally:
+        peer.close()
+
+
+def test_idle_server_connection_is_shed_and_its_thread_exits(monkeypatch):
+    monkeypatch.setattr(servers._LineHandler, "timeout", 0.2)
+    handler_threads = []
+    handle = servers._LineHandler.handle
+
+    def recorded(self):
+        handler_threads.append(threading.current_thread())
+        handle(self)
+
+    monkeypatch.setattr(servers._LineHandler, "handle", recorded)
+    server = UserDatabase(("127.0.0.1", 0), {})
+    start_in_thread(server)
+    try:
+        host, port = wire.parse_address(server.address)
+        with socket.create_connection((host, port), timeout=5) as sock:
+            start = time.monotonic()
+            assert sock.recv(1) == b""  # the server closed it
+            assert time.monotonic() - start < 2.0
+        (thread,) = handler_threads
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# --- padded ids and strict integers
+
+USER_ID = "00112233445566778899aabbccddeeff"
+
+
+def _userdb():
+    return UserDatabase(("127.0.0.1", 0), {bytes.fromhex(USER_ID): ("u@x", "h/")})
+
+
+def _location_manager():
+    return LocationManager(("127.0.0.1", 0), {bytes.fromhex(USER_ID): []}, "127.0.0.1:1")
+
+
+@pytest.mark.parametrize("padded", [f"  {USER_ID}  ", f"\t{USER_ID}\t", f"{USER_ID} "],
+                         ids=["spaces", "tabs", "trailing"])
+@pytest.mark.parametrize(
+    "make_server,verb,what,ok",
+    [(_userdb, "GETUSER", "user id", "OK u@x h/"), (_location_manager, "OCCUPANCY", "location id", "OK 0")],
+    ids=["getuser", "occupancy"],
+)
+def test_padded_id_is_badreq(make_server, verb, what, ok, padded):
+    server = make_server()
+    try:
+        assert server.process_line(f"{verb} {padded}") == [
+            f"ERR BADREQ {what} must be 32 lowercase hex digits"
+        ]
+        assert server.process_line(f"{verb} {USER_ID}") == [ok]
+    finally:
+        server.server_close()
+
+
+def test_parse_int_accepts_ascii_digits_and_a_sign_on_instants():
+    assert wire.parse_int("0") == 0
+    assert wire.parse_int("007") == 7
+    assert wire.parse_int("-12", signed=True) == -12
+    assert wire.parse_int("12", signed=True) == 12
+
+
+NOT_INTEGERS = ["", "+1", "1_000", " 1", "1 ", "\t1", "1\n", "١", "--1", "-", "0x1"]
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS + ["-1"])
+def test_parse_int_rejects_everything_else(text):
+    with pytest.raises(ValueError, match="expected a decimal integer"):
+        wire.parse_int(text)
+    if text != "-1":
+        with pytest.raises(ValueError, match="expected a decimal integer"):
+            wire.parse_int(text, signed=True)
+
+
+def _event_spec_with_start(text):
+    fields = kit.EventFields(("t",), bytes(16), kit.string_description("x"), (), 1, 2)
+    return kit.encode_event_spec(fields).replace(b"start=1", b"start=" + text.encode())
+
+
+def _config_with_event_start(text):
+    return (
+        "[addresses]\nuserdb = 127.0.0.1:1\nlocation = 127.0.0.1:2\ncalendar = 127.0.0.1:3\n"
+        f"[user u]\nid = {'00' * 16}\nemail = u@x\nfiles = http://h/\n"
+        f"[location l]\nid = {'11' * 16}\noccupants =\n"
+        f"[event e]\nid = {'22' * 16}\ntags = t\nmoderator = u\nlocation = l\n"
+        f"start = {text}\nend = 9999\n"
+    )
+
+
+def _location_server_answer(line):
+    server = _location_manager()
+    try:
+        (response,) = server.process_line(line)
+        return response
+    finally:
+        server.server_close()
+
+
+def _calendar_server_answer(line):
+    server = servers.CalendarServer(("127.0.0.1", 0), [], None, "127.0.0.1:1")
+    try:
+        (response,) = server.process_line(line)
+        return response
+    finally:
+        server.server_close()
+
+
+def _reply_from_peer(reply, call):
+    peer = _ScriptedPeer(lambda n: "reply", reply=reply)
+    try:
+        call(peer.address)
+    finally:
+        peer.close()
+
+
+@pytest.mark.parametrize("text", ["+2", "1_000", "٨٠"])
+@pytest.mark.parametrize(
+    "decode",
+    [
+        lambda t: pytest.raises(ValueError, wire.parse_address, f"127.0.0.1:{t}"),
+        lambda t: pytest.raises(MalformedSpecError, kit.parse_time_period_spec, f"h:1 {t} 3000".encode()),
+        lambda t: pytest.raises(MalformedSpecError, kit.parse_event_spec, _event_spec_with_start(t)),
+        lambda t: pytest.raises(ConfigError, parse_config, _config_with_event_start(t)),
+        lambda t: pytest.raises(
+            TransportError, wire.parse_ok_resolution, ["OK", t, "00" * 32, "-"]
+        ),
+        lambda t: _location_server_answer(f"SETOCC {USER_ID} {t}").startswith("ERR BADREQ")
+        or pytest.fail("SETOCC accepted"),
+        lambda t: _calendar_server_answer(f"EVENTS {t} 5 x").startswith("ERR BADREQ")
+        or pytest.fail("EVENTS accepted"),
+        lambda t: pytest.raises(
+            TransportError,
+            _reply_from_peer,
+            f"OK {t}\n".encode(),
+            lambda address: wire.occupancy(address, bytes(16), timeout=5),
+        ),
+        lambda t: pytest.raises(
+            TransportError,
+            _reply_from_peer,
+            f"OK {t}\n".encode(),
+            lambda address: wire.query_events(address, 0, 1, "x", timeout=5),
+        ),
+    ],
+    ids=[
+        "address-port",
+        "time-period-spec",
+        "event-spec",
+        "config-event",
+        "resolve-reply",
+        "setocc-count",
+        "events-start",
+        "occupancy-reply-count",
+        "events-reply-count",
+    ],
+)
+def test_every_integer_decoder_takes_ascii_digits_only(decode, text):
+    decode(text)
+
+
+def test_padding_that_int_ignores_is_rejected():
+    # Config values lose surrounding whitespace to the line syntax; wire
+    # fields and specs keep it, so it reaches the decoder.
+    for bad in ("127.0.0.1:\t80", "127.0.0.1: 80", "127.0.0.1:80\n"):
+        with pytest.raises(ValueError):
+            wire.parse_address(bad)
+    with pytest.raises(MalformedSpecError):
+        kit.parse_time_period_spec(b"h:1 1_000 +2000")
+    with pytest.raises(TransportError):
+        wire.parse_ok_resolution(["OK", "\t5", "00" * 32, "-"])
+    assert _location_server_answer(f"SETOCC {USER_ID} \t0").startswith("ERR BADREQ")
