@@ -26,11 +26,10 @@ user            "host:port <32 hex>" (user database, user id); maps
 Location and calendar resolution happens on the hosting server: their
 client resolver is the remote proxy, which forwards the rest of the name
 over the wire in one request.  A calendar server decodes its events once,
-at start-up, and hands those decodings to the time-period step
-(build_registry's known_events), so resolving through its own calendar
-decodes no event spec.  The user database has no resolution support of
-its own, so the user type's resolver fetches the record and maps local
-names client-side.
+at start-up, and its events query answers each with that decoding, so
+resolving through its own calendar decodes no event spec.  The user
+database has no resolution support of its own, so the user type's
+resolver fetches the record and maps local names client-side.
 
 Validity policy: static data lives 24 hours, calendar period names until
 the period ends, time-period tag lookups until the event starts (at
@@ -43,8 +42,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from . import wire
 from .names import (
@@ -204,16 +202,26 @@ def encode_file_set_spec(files: tuple[tuple[str, str], ...]) -> bytes:
 
 
 def parse_file_set_spec(spec: bytes) -> dict[str, str]:
-    text = _decode_utf8(spec, FILE_SET_TYPE)
     files: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in _spec_lines(spec, FILE_SET_TYPE):
         name, sep, url = line.partition("=")
-        if not sep or not name or not url:
+        if not sep:
             raise MalformedSpecError(FILE_SET_TYPE, f"malformed line {line!r}")
+        _require_token(name, FILE_SET_TYPE, "file name")
+        _require_url(url, FILE_SET_TYPE)
         if name in files:
             raise MalformedSpecError(FILE_SET_TYPE, f"duplicate file name {name!r}")
         files[name] = url
     return files
+
+
+def _spec_lines(spec: bytes, owner_type: bytes) -> list[str]:
+    # Encoders end every line with LF, and only LF ends a line.
+    lines = _decode_utf8(spec, owner_type).split("\n")
+    unterminated = lines.pop()
+    if unterminated:
+        raise MalformedSpecError(owner_type, f"malformed line {unterminated!r}")
+    return lines
 
 
 def _require_token(value: str, owner_type: bytes, what: str) -> None:
@@ -250,12 +258,11 @@ def encode_event_spec(fields: EventFields) -> bytes:
 
 
 def parse_event_spec(spec: bytes) -> EventFields:
-    text = _decode_utf8(spec, EVENT_TYPE)
     tags: list[str] = []
     files: list[tuple[str, str]] = []
     seen_files: set[str] = set()
     once: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in _spec_lines(spec, EVENT_TYPE):
         key, sep, value = line.partition("=")
         if not sep or not key:
             raise MalformedSpecError(EVENT_TYPE, f"malformed line {line!r}")
@@ -315,9 +322,15 @@ def files_common_prefix(files: tuple[tuple[str, str], ...]) -> Optional[str]:
 
 # --- resolver implementations
 
-EventsQuery = Callable[[str, int, int, str], list[bytes]]
+EventsQuery = Callable[[str, int, int, str], list[tuple[bytes, Optional[EventFields]]]]
 UserFetch = Callable[[str, bytes], tuple[str, str]]
-_NO_EVENTS: Mapping[bytes, EventFields] = MappingProxyType({})
+
+
+def fetch_events(
+    address: str, start: int, end: int, tag: str, timeout: float = wire.DEFAULT_TIMEOUT
+) -> list[tuple[bytes, Optional[EventFields]]]:
+    """The events query over the wire (EVENTS): its specs arrive undecoded."""
+    return [(spec, None) for spec in wire.query_events(address, start, end, tag, timeout)]
 
 
 class EmptyNamespaceResolver:
@@ -409,11 +422,10 @@ class TimePeriodResolver:
     """Maps a tag to the first event in the period carrying that tag.
 
     Events are ordered by start instant, ties broken by event id; the
-    query source already returns them in that order.  The event found is
-    decoded here, which checks it even when the name ends at it; when the
-    name goes on, resolver_for hands that decoding to the event step.
-    known_events maps specs already decoded (a calendar server's own
-    events) to their decoding; any other spec is decoded here.
+    query source already returns them in that order.  An event the source
+    answers undecoded (another calendar's, over the wire) is decoded here,
+    which checks it even when the name ends at it; when the name goes on,
+    resolver_for hands the decoding to the event step.
     """
 
     def __init__(
@@ -424,7 +436,6 @@ class TimePeriodResolver:
         clock: Clock,
         query: EventsQuery,
         userdb_address: Optional[str] = None,
-        known_events: Mapping[bytes, EventFields] = _NO_EVENTS,
     ) -> None:
         self.server_address = server_address
         self.start = start
@@ -432,15 +443,14 @@ class TimePeriodResolver:
         self.clock = clock
         self.query = query
         self.userdb_address = userdb_address
-        self.known_events = known_events
         self._decoded: Optional[tuple[bytes, EventFields]] = None
 
     def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
-        specs = self.query(self.server_address, self.start, self.end, local.primary)
-        if not specs:
+        found = self.query(self.server_address, self.start, self.end, local.primary)
+        if not found:
             raise NotBoundError(local.primary, "no event in the period carries this tag")
-        spec = specs[0]
-        event = self.known_events.get(spec) or parse_event_spec(spec)
+        spec, event = found[0]
+        event = event or parse_event_spec(spec)
         self._decoded = (spec, event)
         # The mapping can only change once the event begins; never issue
         # for less than the floor.
@@ -554,7 +564,6 @@ def build_registry(
     timeout: float = wire.DEFAULT_TIMEOUT,
     events_query: Optional[EventsQuery] = None,
     user_fetch: Optional[UserFetch] = None,
-    known_events: Mapping[bytes, EventFields] = _NO_EVENTS,
 ) -> TypeRegistry:
     """Registry with every sample type plus the remote proxy type.
 
@@ -562,13 +571,12 @@ def build_registry(
     data carries only the moderator's identifier, not where user records
     live.  events_query and user_fetch default to wire queries and exist
     so servers can short-circuit lookups into their own state (and tests
-    can avoid sockets).  known_events maps the specs a calendar server
-    hosts to the decoding it made of each when it was built, so a time
-    period finding one of them does not decode it again.  timeout bounds
-    every wire request the registry's resolvers make.
+    can avoid sockets); a calendar server's query answers its events with
+    the decodings it made at start-up.  timeout bounds every wire request
+    the registry's resolvers make.
     """
     if events_query is None:
-        events_query = functools.partial(wire.query_events, timeout=timeout)
+        events_query = functools.partial(fetch_events, timeout=timeout)
     if user_fetch is None:
         user_fetch = functools.partial(wire.get_user, timeout=timeout)
 
@@ -603,9 +611,7 @@ def build_registry(
 
     def time_period_factory(spec: bytes) -> TimePeriodResolver:
         address, start, end = parse_time_period_spec(spec)
-        return TimePeriodResolver(
-            address, start, end, clock, events_query, userdb_address, known_events
-        )
+        return TimePeriodResolver(address, start, end, clock, events_query, userdb_address)
 
     def event_factory(spec: bytes) -> EventResolver:
         return EventResolver(parse_event_spec(spec), clock, userdb_address)

@@ -10,8 +10,9 @@ All three speak the same line protocol but expose different verbs:
     calendar server   RESOLVE, EVENTS.  Hosts one calendar (resource id
                       all zeros) and resolves names from it natively,
                       recursing across servers when a chain demands it.
-                      Each event is decoded once, when it is stored; an
-                      event that does not decode is refused then.
+                      Each event is decoded once, when it is stored,
+                      and ordered once, at start-up; an event that does
+                      not decode is refused then.
 
 Each server runs one thread per connection and handles the requests on
 a connection sequentially; shared state (occupancy, per-verb counters)
@@ -105,7 +106,7 @@ class _LineHandler(socketserver.BaseRequestHandler):
 
 
 class RoleServer(socketserver.ThreadingTCPServer):
-    """Shared plumbing: line dispatch, per-verb counters, injected clock."""
+    """Shared plumbing: line dispatch, per-verb counters."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -114,9 +115,8 @@ class RoleServer(socketserver.ThreadingTCPServer):
     # the id as a RESOLVE line writes it (32 lowercase hex digits).
     hosted: dict[str, ResolveContext]
 
-    def __init__(self, listen: tuple[str, int], clock: Clock = system_clock) -> None:
+    def __init__(self, listen: tuple[str, int]) -> None:
         super().__init__(listen, _LineHandler)
-        self.clock = clock
         self.stats: Counter[str] = Counter()
         self._stats_lock = threading.Lock()
         self._state_lock = threading.RLock()
@@ -180,13 +180,8 @@ class UserDatabase(RoleServer):
 
     role = "userdb"
 
-    def __init__(
-        self,
-        listen: tuple[str, int],
-        users: dict[bytes, tuple[str, str]],
-        clock: Clock = system_clock,
-    ) -> None:
-        super().__init__(listen, clock)
+    def __init__(self, listen: tuple[str, int], users: dict[bytes, tuple[str, str]]) -> None:
+        super().__init__(listen)
         self.users = dict(users)
 
     def _verbs(self):
@@ -214,7 +209,7 @@ class LocationManager(RoleServer):
         userdb_address: str,
         clock: Clock = system_clock,
     ) -> None:
-        super().__init__(listen, clock)
+        super().__init__(listen)
         self.occupancy = {loc: list(users) for loc, users in occupancy.items()}
         self.registry = kit.build_registry(clock, userdb_address)
         self.hosted = {
@@ -282,19 +277,14 @@ class CalendarServer(RoleServer):
         userdb_address: str,
         clock: Clock = system_clock,
     ) -> None:
-        super().__init__(listen, clock)
-        self.events = list(events)
+        super().__init__(listen)
+        # Ordered once, as every query answers them; no verb writes events.
+        self.events = sorted(events, key=lambda ev: (ev.fields.start, ev.event_id, ev.spec))
         self.advertised = advertised or self.address
         # Time periods minted by this calendar point back at it; resolve
         # them against local state instead of a loopback wire call, from
-        # the events as decoded when they were stored.  No verb writes
-        # events, so the decodings never go stale.
-        self.registry = kit.build_registry(
-            clock,
-            userdb_address,
-            events_query=self._events_query,
-            known_events={ev.spec: ev.fields for ev in self.events},
-        )
+        # the events as decoded when they were stored.
+        self.registry = kit.build_registry(clock, userdb_address, events_query=self._events_query)
         self.hosted = {
             kit.CALENDAR_RESOURCE_ID.hex(): ResolveContext(
                 self.registry, kit.CalendarResolver(self.advertised, clock), clock
@@ -304,20 +294,15 @@ class CalendarServer(RoleServer):
     def _verbs(self):
         return {"RESOLVE": self._handle_resolve, "EVENTS": self._handle_events}
 
-    def query_local(self, start: int, end: int, tag: str) -> list[bytes]:
-        with self._state_lock:
-            rows = [
-                (ev.fields.start, ev.event_id, ev.spec)
-                for ev in self.events
-                if tag in ev.fields.tags and start <= ev.fields.start < end
-            ]
-        rows.sort()
-        return [spec for _, _, spec in rows]
+    def query_local(self, start: int, end: int, tag: str) -> list[StoredEvent]:
+        return [ev for ev in self.events if tag in ev.fields.tags and start <= ev.fields.start < end]
 
-    def _events_query(self, address: str, start: int, end: int, tag: str) -> list[bytes]:
+    def _events_query(
+        self, address: str, start: int, end: int, tag: str
+    ) -> list[tuple[bytes, Optional[kit.EventFields]]]:
         if address == self.advertised:
-            return self.query_local(start, end, tag)
-        return wire.query_events(address, start, end, tag)
+            return [(ev.spec, ev.fields) for ev in self.query_local(start, end, tag)]
+        return kit.fetch_events(address, start, end, tag)
 
     def _handle_events(self, rest: str) -> list[str]:
         parts = rest.split(" ")
@@ -328,9 +313,8 @@ class CalendarServer(RoleServer):
             end = wire.parse_int(parts[1], signed=True)
         except ValueError:
             return [wire.error_line("BADREQ", "start and end must be integer milliseconds")]
-        tag = parts[2]
-        specs = self.query_local(start, end, tag)
-        return [f"OK {len(specs)}"] + [wire.hex_field(spec) for spec in specs]
+        events = self.query_local(start, end, parts[2])
+        return [f"OK {len(events)}"] + [wire.hex_field(ev.spec) for ev in events]
 
 
 def serve(
@@ -340,11 +324,14 @@ def serve(
     clock: Clock = system_clock,
 ) -> RoleServer:
     """Construct (bind, do not run) the server for a role from config."""
-    address_text = listen or cfg.addresses[role]
-    listen_addr = wire.parse_address(address_text)
+    text = listen or cfg.addresses[role]
+    host, _, port = text.rpartition(":")
+    # Unlike an address to connect to, one to listen on may take port 0:
+    # the kernel picks a free port.
+    listen_addr = (host, 0) if host and port == "0" else wire.parse_address(text)
     if role == "userdb":
         users = {u.user_id: (u.email, u.fileprefix) for u in cfg.users.values()}
-        return UserDatabase(listen_addr, users, clock=clock)
+        return UserDatabase(listen_addr, users)
     if role == "location":
         occupancy = {
             loc.location_id: [cfg.users[a].user_id for a in loc.occupants]
@@ -356,7 +343,8 @@ def serve(
         return CalendarServer(
             listen_addr,
             events,
-            advertised=cfg.addresses["calendar"],
+            # bound to port 0, it advertises the port it got
+            advertised=cfg.addresses["calendar"] if listen_addr[1] else None,
             userdb_address=cfg.addresses["userdb"],
             clock=clock,
         )

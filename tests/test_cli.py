@@ -1,3 +1,4 @@
+import select
 import signal
 import socket
 import subprocess
@@ -11,7 +12,7 @@ from conftest import free_port, nested_name
 from namechain import kit
 from namechain.cli import main
 from namechain.config import format_config, parse_config
-from namechain.names import serialize_resource_literal
+from namechain.names import parse_name, serialize_resource_literal
 from namechain.resources import ResourceDescription
 
 
@@ -243,6 +244,42 @@ def test_serve_single_role_subprocess(tmp_path):
             alice.email,
             alice.fileprefix,
         )
+    finally:
+        wire.close_idle_connections()
+        proc.send_signal(signal.SIGINT)
+        try:
+            assert proc.wait(timeout=10) == 0
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            proc.kill()
+            raise
+
+
+def test_serve_on_port_0_prints_the_address_it_serves_at(tmp_path):
+    from namechain import wire
+    from namechain.config import demo_deployment
+    from namechain.resolver import system_clock
+
+    # nothing listens at the configured addresses; the calendar resolves
+    # its own periods only if it advertises the port it bound
+    addresses = dict.fromkeys(("userdb", "location", "calendar"), "127.0.0.1:1")
+    path = _write_cfg(tmp_path, demo_deployment(addresses, system_clock()))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "namechain", "serve", "--role", "calendar", "--config", path,
+         "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    try:
+        assert select.select([proc.stdout], [], [], 10)[0], "no address printed"
+        prefix = "serving calendar at "
+        line = proc.stdout.readline()
+        assert line.startswith(prefix)
+        address = line[len(prefix):].strip()
+        assert not address.endswith(":0")
+        name = parse_name("(today meeting)")
+        resolution = wire.resolve_remote(address, kit.CALENDAR_RESOURCE_ID, name, 5)
+        assert resolution.description.type_id == kit.EVENT_TYPE
     finally:
         wire.close_idle_connections()
         proc.send_signal(signal.SIGINT)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from namechain import kit, wire
@@ -234,3 +236,24 @@ def test_event_entries_the_calendar_could_not_serve_are_rejected(event_lines, fr
         + event_lines
     )
     _expect_error(text, 12, f"event 'e': {fragment}")
+
+
+def test_readme_sample_configuration_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Deployment configuration", 1)[1].split("```\n", 2)[1]
+    cfg = parse_config(block)
+    assert cfg.locations["room101"].occupants == ("alice",)
+    assert cfg.events["standup"].moderator == "alice"
+    assert cfg.events["standup"].location == "room101"
+    assert cfg.initials["calendar"] == wire.remote_description(
+        cfg.addresses["calendar"], kit.CALENDAR_RESOURCE_ID
+    )
+
+
+def test_config_addresses_refuse_port_0():
+    _expect_error(
+        "[addresses]\nuserdb = 127.0.0.1:0\n"
+        "location = 127.0.0.1:2\ncalendar = 127.0.0.1:3\n",
+        2,
+        "port out of range",
+    )

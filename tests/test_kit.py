@@ -150,6 +150,50 @@ def test_urls_with_any_whitespace_are_rejected(space):
         kit.encode_file_set_spec((("a.txt", url),))
 
 
+# Line breaks str.splitlines() honours besides LF; no encoder writes one.
+OTHER_LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+def test_only_lf_ends_a_spec_line(brk):
+    event = kit.encode_event_spec(_event_fields()).decode()
+    files = kit.encode_file_set_spec((("a", "http://h/a"), ("b", "http://h/b"))).decode()
+    with pytest.raises(MalformedSpecError):
+        kit.parse_event_spec(event.replace("\n", brk, 1).encode())
+    with pytest.raises(MalformedSpecError):
+        kit.parse_file_set_spec(files.replace("\n", brk, 1).encode())
+
+
+@pytest.mark.parametrize(
+    "decode, spec",
+    [
+        (kit.parse_event_spec, kit.encode_event_spec(_event_fields())[:-1]),
+        (kit.parse_file_set_spec, b"a=http://h/a"),
+    ],
+)
+def test_a_spec_line_without_its_lf_is_malformed(decode, spec):
+    with pytest.raises(MalformedSpecError, match="malformed line"):
+        decode(spec)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["(a)=http://h/a", "a b=http://h/a", "=http://h/a", "a=http://x y", "a=http://h/a\u3000b", "a=", "a"],
+)
+def test_file_set_decoder_refuses_what_its_encoder_refuses(line):
+    name, _, url = line.partition("=")
+    with pytest.raises(MalformedSpecError):
+        kit.encode_file_set_spec(((name, url),))
+    with pytest.raises(MalformedSpecError):
+        kit.parse_file_set_spec(f"{line}\n".encode())
+
+
+def test_file_set_spec_round_trip():
+    files = (("agenda.txt", "http://h/a?x=1"), ("notes", "http://h/n"))
+    assert kit.parse_file_set_spec(kit.encode_file_set_spec(files)) == dict(files)
+    assert kit.parse_file_set_spec(kit.encode_file_set_spec(())) == {}
+
+
 def test_event_bindings(fake_clock):
     fields = _event_fields()
     resolver = kit.EventResolver(fields, fake_clock, "127.0.0.1:7001")
@@ -206,7 +250,7 @@ def _store_query(events):
             if tag in fields.tags and start <= fields.start < end
         ]
         rows.sort()
-        return [spec for _, _, spec in rows]
+        return [(spec, None) for _, _, spec in rows]
 
     return query
 
@@ -265,7 +309,7 @@ def _time_period_context(fake_clock, specs, registry=None):
         registry = kit.build_registry(
             fake_clock,
             "127.0.0.1:7001",
-            events_query=lambda address, start, end, tag: list(specs),
+            events_query=lambda address, start, end, tag: [(spec, None) for spec in specs],
             user_fetch=lambda address, user_id: ("alice@example.org", "http://files/alice/"),
         )
     period = kit.time_period_description("127.0.0.1:7003", T0, T0 + kit.DAY_MS)
@@ -316,7 +360,7 @@ def test_event_spec_is_decoded_once_per_resolution(fake_clock, monkeypatch):
 
 def test_decoded_event_is_not_handed_to_a_registry_without_the_event_type(fake_clock):
     spec = kit.encode_event_spec(_event_fields())
-    full = kit.build_registry(fake_clock, "127.0.0.1:7001", events_query=lambda *a: [spec])
+    full = kit.build_registry(fake_clock, "127.0.0.1:7001", events_query=lambda *a: [(spec, None)])
     ctx = _time_period_context(fake_clock, [spec], registry=full.without(kit.EVENT_TYPE))
     assert resolve(ctx, parse_name("(meeting)")).description.spec == spec
     with pytest.raises(UnknownTypeError):
@@ -387,6 +431,29 @@ def test_calendar_server_rejects_a_malformed_event_of_another_calendar(
     with pytest.raises(MalformedSpecError) as excinfo:
         resolve(ctx, parse_name(text))
     assert excinfo.value.type_id == kit.EVENT_TYPE
+
+
+def test_calendar_server_answers_in_start_then_id_order_whatever_its_input_order(fake_clock):
+    day_start, day_end = kit.day_bounds(fake_clock())
+    late = _mk_event(1, day_start + 7_200_000)
+    # a start shared by two events: the smaller id wins, although its
+    # spec sorts after the other's
+    tie_small_id = _mk_event(5, day_start + 3_600_000, tags=("meeting", "zz"))
+    tie_large_id = _mk_event(9, day_start + 3_600_000, tags=("meeting", "aa"))
+    given = [late, tie_large_id, tie_small_id]
+    stored = [StoredEvent(event_id, fields) for event_id, fields, _ in given]
+    server = CalendarServer(("127.0.0.1", 0), stored, None, "127.0.0.1:7001", clock=fake_clock)
+    try:
+        ok, *lines = server.process_line(f"EVENTS {day_start} {day_end} meeting")
+        assert ok == "OK 3"
+        assert [wire.unhex_field(line) for line in lines] == [
+            spec for _, _, spec in (tie_small_id, tie_large_id, late)
+        ]
+        (line,) = server.process_line(f"RESOLVE {kit.CALENDAR_RESOURCE_ID.hex()} (today meeting)")
+        resolution = wire.parse_ok_resolution(line.split(" "))
+        assert resolution.description == ResourceDescription(kit.EVENT_TYPE, tie_small_id[2])
+    finally:
+        server.server_close()
 
 
 def test_calendar_server_refuses_an_event_that_does_not_decode():

@@ -337,20 +337,32 @@ def test_persistent_connections_serve_sequential_requests(deployment):
 
 
 def test_serve_listen_override_binds_elsewhere(deployment):
-    from conftest import free_port
     from namechain.servers import serve, start_in_thread
 
-    override = f"127.0.0.1:{free_port()}"
-    server = serve("userdb", deployment.cfg, listen=override)
+    server = serve("userdb", deployment.cfg, listen="127.0.0.1:0")
     start_in_thread(server)
     try:
         alice = deployment.cfg.users["alice"]
-        assert server.address == override
-        assert wire.get_user(override, alice.user_id) == (alice.email, alice.fileprefix)
+        assert server.address != deployment.cfg.addresses["userdb"]
+        assert wire.get_user(server.address, alice.user_id) == (alice.email, alice.fileprefix)
     finally:
         wire.close_idle_connections()
         server.shutdown()
         server.server_close()
+
+
+def test_only_a_listen_address_takes_port_0(deployment):
+    from namechain.servers import serve
+
+    with pytest.raises(ValueError):
+        serve("userdb", deployment.cfg, listen=":0")
+    calendar = serve("calendar", deployment.cfg, listen="127.0.0.1:0", clock=deployment.clock)
+    try:
+        assert calendar.server_address[1] != 0
+        # it advertises the port it got, not the configured one
+        assert calendar.advertised == calendar.address != deployment.cfg.addresses["calendar"]
+    finally:
+        calendar.server_close()
 
 
 def test_concurrent_resolutions_are_consistent(deployment):
