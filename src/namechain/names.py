@@ -20,7 +20,14 @@ separated by one or more spaces; serialization always emits exactly one.
 Parsing is strict everywhere else: the whole input must be consumed,
 attribute labels must be unique within a local name, hex fields are
 lowercase, and anything not derivable from the grammar raises
-NameSyntaxError rather than yielding a partial name.
+NameSyntaxError, with a reason and the position it applies to, rather
+than yielding a partial name.
+
+Parsing is one pass.  A name without attributes is one regular
+expression match.  Any other name goes to a recursive descent over
+(text, position) that builds each node once, from parts it has already
+checked, and shares the resource literal rule with
+parse_resource_literal.
 
 Names nest at most MAX_NESTING deep, a name with no name-valued
 attribute being 1 deep.  Each level spends at least one resolution
@@ -42,6 +49,8 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9._-]+")
 _HEX_RE = re.compile(r"[0-9a-f]+")
 # A name without attributes: tokens separated by one or more spaces.
 _PLAIN_NAME_RE = re.compile(r"\(([A-Za-z0-9._-]+(?: +[A-Za-z0-9._-]+)*)\)")
+# A resource literal; the parser checks that the specification's length is even.
+_LITERAL_RE = re.compile(r"\[([0-9a-f]{64}) ([0-9a-f]*)\]")
 MAX_NESTING = 32
 
 
@@ -168,123 +177,117 @@ def _build(cls, fields: dict):
     return obj
 
 
-class _Parser:
-    __slots__ = ("text", "pos", "depth")
+# The parser: functions over (text, pos) that return (value, pos after
+# it) and build each node once, from parts their own checks accepted.
+_new = object.__new__
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.depth = 0  # names open at self.pos
 
-    def error(self, reason: str) -> NameSyntaxError:
-        return NameSyntaxError(self.pos, reason)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_token(self, what: str) -> str:
-        m = _TOKEN_RE.match(self.text, self.pos)
+def _name(text: str, pos: int, depth: int) -> tuple[Name, int]:
+    """The name whose '(' is text[pos], `depth` names deep."""
+    if depth > MAX_NESTING:
+        raise NameSyntaxError(pos, f"names nest at most {MAX_NESTING} deep")
+    pos += 1
+    if text[pos : pos + 1] == ")":
+        raise EmptyNameError(pos)
+    locals_ = []
+    while True:
+        m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
+            raise NameSyntaxError(pos, "expected primary name")
+        pos = m.end()
+        if text[pos : pos + 1] == "[":
+            attributes, pos = _attributes(text, pos + 1, depth)
+        else:
+            attributes = ()
+        local = _new(LocalName)
+        local.__dict__.update(primary=m.group(), attributes=attributes)
+        locals_.append(local)
+        c = text[pos : pos + 1]
+        if c == ")":
+            name = _new(Name)
+            name.__dict__["locals"] = tuple(locals_)
+            return name, pos + 1
+        if c != " ":
+            raise NameSyntaxError(pos, "expected ' ' or ')' after local name")
+        pos += 1
+        while text[pos : pos + 1] == " ":
+            pos += 1
 
-    def finish(self) -> None:
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
 
-    def name(self) -> Name:
-        if self.peek() != "(":
-            raise self.error("expected '('")
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error(f"names nest at most {MAX_NESTING} deep")
-        self.pos += 1
-        if self.peek() == ")":
-            raise EmptyNameError(self.pos)
-        locals_ = [self.local_name()]
-        while True:
-            c = self.peek()
-            if c == ")":
-                self.pos += 1
-                self.depth -= 1
-                return _build(Name, {"locals": tuple(locals_)})
-            if c == " ":
-                while self.peek() == " ":
-                    self.pos += 1
-                locals_.append(self.local_name())
-                continue
-            raise self.error("expected ' ' or ')' after local name")
-
-    def local_name(self) -> LocalName:
-        primary = self.take_token("primary name")
-        if self.peek() != "[":
-            return _build(LocalName, {"primary": primary, "attributes": ()})
-        self.pos += 1
-        return _build(LocalName, {"primary": primary, "attributes": self.attributes()})
-
-    def attributes(self) -> tuple[tuple[str, AttrValue], ...]:
-        pairs: list[tuple[str, AttrValue]] = []
-        seen: set[str] = set()
-        while True:
-            label_pos = self.pos
-            label = self.take_token("attribute label")
-            if label in seen:
-                raise NameSyntaxError(label_pos, f"duplicate attribute label {label!r}")
-            seen.add(label)
-            if self.peek() != "=":
-                raise self.error("expected '=' after attribute label")
-            self.pos += 1
-            pairs.append((label, self.value()))
-            c = self.peek()
-            if c == ",":
-                self.pos += 1
-                continue
-            if c == "]":
-                self.pos += 1
-                return tuple(pairs)
-            raise self.error("expected ',' or ']' after attribute value")
-
-    def value(self) -> AttrValue:
-        c = self.peek()
+def _attributes(text: str, pos: int, depth: int) -> tuple[tuple[tuple[str, AttrValue], ...], int]:
+    """The attribute list after a '[', up to and including its ']'."""
+    pairs: list[tuple[str, AttrValue]] = []
+    seen: set[str] = set()
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise NameSyntaxError(pos, "expected attribute label")
+        label = m.group()
+        if label in seen:
+            raise NameSyntaxError(pos, f"duplicate attribute label {label!r}")
+        seen.add(label)
+        pos = m.end()
+        if text[pos : pos + 1] != "=":
+            raise NameSyntaxError(pos, "expected '=' after attribute label")
+        pos += 1
+        c = text[pos : pos + 1]
         if c == "(":
-            return _build(NameValue, {"name": self.name()})
-        if c == "[":
-            return _build(ResourceValue, {"description": self.resource()})
-        return _build(StringValue, {"text": self.take_token("attribute value")})
+            value = _new(NameValue)
+            value.__dict__["name"], pos = _name(text, pos, depth + 1)
+        elif c == "[":
+            value = _new(ResourceValue)
+            value.__dict__["description"], pos = _literal(text, pos)
+        else:
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                raise NameSyntaxError(pos, "expected attribute value")
+            value = _new(StringValue)
+            value.__dict__["text"] = m.group()
+            pos = m.end()
+        pairs.append((label, value))
+        c = text[pos : pos + 1]
+        if c == "]":
+            return tuple(pairs), pos + 1
+        if c != ",":
+            raise NameSyntaxError(pos, "expected ',' or ']' after attribute value")
+        pos += 1
 
-    def resource(self) -> ResourceDescription:
-        if self.peek() != "[":
-            raise self.error("expected '['")
-        self.pos += 1
-        id_pos = self.pos
-        m = _HEX_RE.match(self.text, self.pos)
-        id_hex = m.group() if m else ""
-        if len(id_hex) != 2 * TYPE_ID_LENGTH:
-            raise NameSyntaxError(
-                id_pos,
-                f"resource type identifier must be exactly {2 * TYPE_ID_LENGTH} lowercase hex digits",
-            )
-        self.pos = m.end()  # type: ignore[union-attr]
-        if self.peek() != " ":
-            raise self.error("expected single space between identifier and specification")
-        self.pos += 1
-        spec_pos = self.pos
-        m = _HEX_RE.match(self.text, self.pos)
-        spec_hex = ""
-        if m is not None:
-            spec_hex = m.group()
-            self.pos = m.end()
-        if len(spec_hex) % 2:
-            raise NameSyntaxError(spec_pos, "specification must be an even number of hex digits")
-        if self.peek() != "]":
-            raise self.error("expected ']' after resource specification")
-        self.pos += 1
-        # The identifier has its length and both fields decode to bytes:
-        # all that ResourceDescription checks.
-        return _build(
-            ResourceDescription, {"type_id": bytes.fromhex(id_hex), "spec": bytes.fromhex(spec_hex)}
+
+def _literal(text: str, pos: int) -> tuple[ResourceDescription, int]:
+    """The resource literal whose '[' is text[pos]."""
+    m = _LITERAL_RE.match(text, pos)
+    if m is None or len(m[2]) % 2:
+        raise _literal_error(text, pos)
+    # The identifier has its length and both fields decode to bytes:
+    # all that ResourceDescription checks.
+    description = _new(ResourceDescription)
+    description.__dict__.update(type_id=bytes.fromhex(m[1]), spec=bytes.fromhex(m[2]))
+    return description, m.end()
+
+
+def _literal_error(text: str, pos: int) -> NameSyntaxError:
+    """Why the text at `pos` is not a resource literal, and where."""
+    if text[pos : pos + 1] != "[":
+        return NameSyntaxError(pos, "expected '['")
+    pos += 1
+    m = _HEX_RE.match(text, pos)
+    if m is None or m.end() - pos != 2 * TYPE_ID_LENGTH:
+        return NameSyntaxError(
+            pos, f"resource type identifier must be exactly {2 * TYPE_ID_LENGTH} lowercase hex digits"
         )
+    pos = m.end()
+    if text[pos : pos + 1] != " ":
+        return NameSyntaxError(pos, "expected single space between identifier and specification")
+    pos += 1
+    m = _HEX_RE.match(text, pos)
+    if m is not None and (m.end() - pos) % 2:
+        return NameSyntaxError(pos, "specification must be an even number of hex digits")
+    return NameSyntaxError(m.end() if m else pos, "expected ']' after resource specification")
+
+
+def _finish(text: str, pos: int) -> None:
+    if pos != len(text):
+        raise NameSyntaxError(pos, "unexpected trailing input")
 
 
 def parse_name(text: str) -> Name:
@@ -301,17 +304,17 @@ def parse_name(text: str) -> Name:
         name = new(Name)
         name.__dict__["locals"] = tuple(locals_)
         return name
-    parser = _Parser(text)
-    name = parser.name()
-    parser.finish()
+    if text[:1] != "(":
+        raise NameSyntaxError(0, "expected '('")
+    name, pos = _name(text, 0, 1)
+    _finish(text, pos)
     return name
 
 
 def parse_resource_literal(text: str) -> ResourceDescription:
     """Parse a standalone ``[<identifier> <specification>]`` literal."""
-    parser = _Parser(text)
-    description = parser.resource()
-    parser.finish()
+    description, pos = _literal(text, 0)
+    _finish(text, pos)
     return description
 
 

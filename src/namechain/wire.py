@@ -28,8 +28,9 @@ Any failure is ``ERR <code> <detail>`` with code one of NOTBOUND,
 UNKNOWNTYPE, DEPTH, NOTFOUND, BADREQ, INTERNAL; the client maps each
 code back onto the corresponding resolution error.
 
-Integer fields are ASCII decimal digits, with one leading ``-`` only on
-instants (``parse_int``); signs, separators and padding are bad requests.
+Integer fields are ASCII decimal digits without a leading zero, with one
+leading ``-`` only on instants (``parse_int``); ``+``, ``-0``, separators
+and padding are bad requests.
 
 Connections are reused when possible (a small per-address pool) but the
 protocol itself is stateless: one request, one response, in order.
@@ -73,6 +74,9 @@ _RECV_BYTES = 65536  # the most one receive asks the kernel for
 REMOTE_TYPE = derive_type_id("namechain.type.remote.v1")
 
 _ENTITY_ID_RE = re.compile(r"[0-9a-f]{32}")
+# Integers as str() writes them; "-0" and padding zeros are not.
+_UNSIGNED_INT_RE = re.compile(r"0|[1-9][0-9]*")
+_SIGNED_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def hex_field(data: bytes) -> str:
@@ -86,12 +90,13 @@ def unhex_field(text: str) -> bytes:
 
 
 def parse_int(text: str, signed: bool = False) -> int:
-    """Decode a decimal integer: ASCII digits, one leading '-' if `signed`.
+    """Decode a decimal integer in the form str() writes: ASCII digits with
+    no leading zero, one leading '-' if `signed`.
 
-    int() also takes '+', '_' separators, surrounding whitespace and
-    non-ASCII digits; no wire, spec or config field allows them.
+    int() also takes '+', '_' separators, surrounding whitespace, padding
+    zeros and non-ASCII digits; no wire, spec or config field allows them.
     """
-    if text.isascii() and (text.isdigit() or signed and text[:1] == "-" and text[1:].isdigit()):
+    if (_SIGNED_INT_RE if signed else _UNSIGNED_INT_RE).fullmatch(text):
         return int(text)
     raise ValueError(f"expected a decimal integer, got {text!r}")
 

@@ -1,8 +1,10 @@
 import random
+import string
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FakeClock
 
@@ -130,6 +132,71 @@ def test_event_spec_rejects_malformed_text(mutate):
         kit.parse_event_spec(mutate(text).encode())
 
 
+def test_event_spec_out_of_the_encoders_order_is_not_canonical():
+    lines = kit.encode_event_spec(_event_fields()).decode().splitlines(keepends=True)
+    lines[-2], lines[-1] = lines[-1], lines[-2]
+    with pytest.raises(MalformedSpecError, match="not in canonical form"):
+        kit.parse_event_spec("".join(lines).encode())
+
+
+# --- the event codec decodes exactly what its encoder writes
+
+_tokens = st.text(alphabet=string.ascii_letters + string.digits + "._-", min_size=1, max_size=8)
+_urls = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12).filter(
+    lambda url: not any(c.isspace() for c in url)
+)
+
+
+@st.composite
+def _drawn_event_fields(draw):
+    start = draw(st.integers(-(2**45), 2**45))
+    return kit.EventFields(
+        tags=tuple(draw(st.lists(_tokens, max_size=3))),
+        moderator=draw(st.binary(min_size=16, max_size=16)),
+        location=ResourceDescription(draw(st.binary(min_size=32, max_size=32)), draw(st.binary(max_size=24))),
+        files=tuple(draw(st.lists(st.tuples(_tokens, _urls), max_size=3, unique_by=lambda f: f[0]))),
+        start=start,
+        end=start + draw(st.integers(1, 2**45)),
+    )
+
+
+def _line_kind(line):
+    return line.partition("=")[0].partition(".")[0]
+
+
+def _non_canonical(fields, data):
+    """Mutations of a valid encoding that the decoder must refuse."""
+    spec = kit.encode_event_spec(fields)
+    lines = spec.decode().splitlines(keepends=True)
+    # swapping two tag lines or two file lines is another valid event
+    swappable = [i for i in range(len(lines) - 1) if _line_kind(lines[i]) != _line_kind(lines[i + 1])]
+    i = data.draw(st.sampled_from(swappable))
+    swapped = lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2 :]
+    digits = str(abs(fields.start))
+    padded = ("-0" if fields.start < 0 else "0") + digits
+    literal = "location=" + serialize_resource_literal(fields.location)
+    mutants = {
+        "swapped lines": "".join(swapped).encode(),
+        "zero-padded start": spec.replace(f"start={fields.start}\n".encode(), f"start={padded}\n".encode()),
+        "final LF dropped": spec[:-1],
+        "odd-length location spec": spec.replace(literal.encode(), (literal[:-1] + "0]").encode()),
+    }
+    if fields.files:
+        file_line = next(line for line in lines if line.startswith("file."))
+        mutants["repeated file line"] = spec.replace(file_line.encode(), 2 * file_line.encode())
+    return mutants
+
+
+@settings(max_examples=40)
+@given(_drawn_event_fields(), st.data())
+def test_event_codec_round_trips_and_refuses_every_other_spelling(fields, data):
+    assert kit.parse_event_spec(kit.encode_event_spec(fields)) == fields
+    for what, mutant in _non_canonical(fields, data).items():
+        with pytest.raises(MalformedSpecError):
+            kit.parse_event_spec(mutant)
+            pytest.fail(f"{what} decoded: {mutant!r}")
+
+
 # Whitespace outside ASCII as well: next line, em space, ideographic space,
 # and the file separator, which str.isspace() also counts.
 URL_WHITESPACE = ["\u0085", "\u2003", "\u3000", "\x1c", " ", "\t"]
@@ -186,6 +253,16 @@ def test_file_set_decoder_refuses_what_its_encoder_refuses(line):
         kit.encode_file_set_spec(((name, url),))
     with pytest.raises(MalformedSpecError):
         kit.parse_file_set_spec(f"{line}\n".encode())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [b"b=http://h/b\na=http://h/a\n", b"a=http://h/a\na=http://h/b\n", b"a=http://h/a\na=http://h/a\n"],
+    ids=["reordered", "duplicated-name", "duplicated-line"],
+)
+def test_file_set_decoder_takes_names_only_in_ascending_order(spec):
+    with pytest.raises(MalformedSpecError, match="does not sort after"):
+        kit.parse_file_set_spec(spec)
 
 
 def test_file_set_spec_round_trip():

@@ -1,3 +1,4 @@
+import re
 import string
 
 import pytest
@@ -287,3 +288,30 @@ def test_parsed_names_equal_and_hash_like_constructed_ones(text, constructed):
 def test_resource_literal_round_trip(type_id, spec):
     description = ResourceDescription(type_id, spec)
     assert parse_resource_literal(serialize_resource_literal(description)) == description
+
+
+# --- hostile input: every one-character edit of a valid name
+
+LOCAL_SHAPED_NAMES = [
+    "(moderator files x.txt[n=(moderator)])",
+    "(moderator[n=(location[n=(moderator email)]),s=jqy3] email)",
+    f"(files a.txt[n=(files[n=(moderator)]),r=[{'67' * 32} 6874]])",
+]
+
+
+def _one_edit_variants(text, alphabet="()[]=, a0"):
+    variants = {text[:i] for i in range(len(text))}
+    for i in range(len(text)):
+        variants.add(text[:i] + text[i + 1 :])
+        variants.update(text[:i] + c + text[i + 1 :] for c in alphabet)
+    return sorted(variants)
+
+
+@pytest.mark.parametrize("seed", [text for text, _ in CONSTRUCTED_NAMES] + LOCAL_SHAPED_NAMES)
+def test_every_prefix_and_one_character_edit_parses_canonically_or_raises_a_syntax_error(seed):
+    for text in _one_edit_variants(seed):
+        try:
+            name = parse_name(text)
+        except NameSyntaxError:
+            continue
+        assert serialize_name(name) == re.sub(" +", " ", text)

@@ -755,12 +755,13 @@ def test_padded_id_is_badreq(make_server, verb, what, ok, padded):
 
 def test_parse_int_accepts_ascii_digits_and_a_sign_on_instants():
     assert wire.parse_int("0") == 0
-    assert wire.parse_int("007") == 7
+    with pytest.raises(ValueError, match="expected a decimal integer"):
+        wire.parse_int("007")
     assert wire.parse_int("-12", signed=True) == -12
     assert wire.parse_int("12", signed=True) == 12
 
 
-NOT_INTEGERS = ["", "+1", "1_000", " 1", "1 ", "\t1", "1\n", "١", "--1", "-", "0x1"]
+NOT_INTEGERS = ["", "+1", "1_000", " 1", "1 ", "\t1", "1\n", "١", "--1", "-", "0x1", "00", "007", "-0", "-07"]
 
 
 @pytest.mark.parametrize("text", NOT_INTEGERS + ["-1"])
@@ -785,6 +786,10 @@ def _config_with_event_start(text):
         f"[event e]\nid = {'22' * 16}\ntags = t\nmoderator = u\nlocation = l\n"
         f"start = {text}\nend = 9999\n"
     )
+
+
+def _config_with_userdb_port(text):
+    return f"[addresses]\nuserdb = 127.0.0.1:{text}\nlocation = 127.0.0.1:2\ncalendar = 127.0.0.1:3\n"
 
 
 def _location_server_answer(line):
@@ -813,12 +818,18 @@ def _reply_from_peer(reply, call):
         peer.close()
 
 
-@pytest.mark.parametrize("text", ["+2", "1_000", "٨٠"])
+# Padding zeros and "-0" give a second spelling of a value str() writes
+# one way: a period on 127.0.0.1:080 would miss its own calendar.
+@pytest.mark.parametrize("text", ["+2", "1_000", "٨٠", "007", "-0", "080"])
 @pytest.mark.parametrize(
     "decode",
     [
         lambda t: pytest.raises(ValueError, wire.parse_address, f"127.0.0.1:{t}"),
+        lambda t: pytest.raises(ConfigError, parse_config, _config_with_userdb_port(t)),
         lambda t: pytest.raises(MalformedSpecError, kit.parse_time_period_spec, f"h:1 {t} 3000".encode()),
+        lambda t: pytest.raises(
+            MalformedSpecError, kit.parse_time_period_spec, f"127.0.0.1:{t} 0 20".encode()
+        ),
         lambda t: pytest.raises(MalformedSpecError, kit.parse_event_spec, _event_spec_with_start(t)),
         lambda t: pytest.raises(ConfigError, parse_config, _config_with_event_start(t)),
         lambda t: pytest.raises(
@@ -843,7 +854,9 @@ def _reply_from_peer(reply, call):
     ],
     ids=[
         "address-port",
+        "config-port",
         "time-period-spec",
+        "time-period-port",
         "event-spec",
         "config-event",
         "resolve-reply",
