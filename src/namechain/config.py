@@ -295,10 +295,10 @@ def _validate(cfg: DeploymentConfig, sections: list[_Section]) -> None:
             raise ConfigError(
                 line, f"event {event.alias!r} names undefined location {event.location!r}"
             )
-        # Decode what the calendar will serve, so that bad tags and file
-        # entries surface now rather than at resolution time.
+        # Encode what the calendar will serve: the encoder refuses a bad
+        # tag or file entry now rather than at resolution time.
         try:
-            kit.parse_event_spec(kit.encode_event_spec(cfg.event_fields(event)))
+            kit.encode_event_spec(cfg.event_fields(event))
         except MalformedSpecError as exc:
             raise ConfigError(line, f"event {event.alias!r}: {exc.reason}") from None
 

@@ -26,17 +26,19 @@ user            "host:port <32 hex>" (user database, user id); maps
 Each decoder accepts exactly the bytes its encoder writes, so one
 resource has one specification: file-set names in ascending order, event
 fields in the order above, integers as str() writes them (no padding
-zero, no "-0").  An event spec decodes in one match of a pattern of the
-encoder's output; only a spec the pattern refuses is walked line by line,
-and that walk only names the reason.
+zero, no "-0").  The file-set and event encoders refuse what their
+decoders refuse, with the same reasons, so decoding what they write gives
+back what they were given.  An event spec decodes in one match of a
+pattern of the encoder's output; only a spec the pattern refuses is
+walked line by line, and that walk only names the reason.
 
 Location and calendar resolution happens on the hosting server: their
 client resolver is the remote proxy, which forwards the rest of the name
-over the wire in one request.  A calendar server decodes its events once,
-at start-up, and its events query answers each with that decoding, so
-resolving through its own calendar decodes no event spec.  The user
-database has no resolution support of its own, so the user type's
-resolver fetches the record and maps local names client-side.
+over the wire in one request.  A calendar server encodes its events once,
+at start-up, and its events query answers each spec with the fields it
+was encoded from, so resolving through its own calendar decodes no event
+spec.  The user database has no resolution support of its own, so the
+user type's resolver fetches the record and maps local names client-side.
 
 Validity policy: static data lives 24 hours, calendar period names until
 the period ends, time-period tag lookups until the event starts (at
@@ -92,8 +94,6 @@ PERIOD_TAG_MIN_TTL_MS = 600_000
 
 PERIOD_NAMES = ("today", "tomorrow", "thisweek")
 
-# \s matches exactly the code points str.isspace() flags.
-_WHITESPACE_RE = re.compile(r"\s")
 # What encode_event_spec writes, line for line; \S+ is a URL as
 # _require_url accepts it.  The groups: tag lines, moderator, location
 # type id and spec, file lines, start, end.
@@ -253,7 +253,7 @@ def _require_token(value: str, owner_type: bytes, what: str) -> None:
 
 
 def _require_url(value: str, owner_type: bytes) -> None:
-    if not value or _WHITESPACE_RE.search(value):
+    if not value or wire._WHITESPACE_RE.search(value):
         raise MalformedSpecError(owner_type, f"URL must be non-empty and whitespace-free, got {value!r}")
 
 
@@ -270,12 +270,31 @@ class EventFields:
 
 
 def encode_event_spec(fields: EventFields) -> bytes:
-    lines = [f"tag={t}\n" for t in fields.tags]
+    """The spec of `fields`, refusing what parse_event_spec refuses, with
+    its reasons, so parse_event_spec(encode_event_spec(f)) == f for every
+    f accepted here.
+    """
+    lines = []
+    for tag in fields.tags:
+        _require_token(tag, EVENT_TYPE, "tag")
+        lines.append(f"tag={tag}\n")
+    if not isinstance(fields.moderator, bytes) or len(fields.moderator) != wire.ENTITY_ID_LENGTH:
+        raise MalformedSpecError(EVENT_TYPE, "moderator must be 32 lowercase hex digits")
     lines.append(f"moderator={fields.moderator.hex()}\n")
+    if not isinstance(fields.location, ResourceDescription):
+        raise MalformedSpecError(EVENT_TYPE, "location must be a resource description")
     lines.append(f"location={serialize_resource_literal(fields.location)}\n")
-    lines.extend(f"file.{name}={url}\n" for name, url in fields.files)
-    lines.append(f"start={fields.start}\n")
-    lines.append(f"end={fields.end}\n")
+    for name, url in fields.files:
+        _require_token(name, EVENT_TYPE, "file name")
+        _require_url(url, EVENT_TYPE)
+        lines.append(f"file.{name}={url}\n")
+    if len({name for name, _ in fields.files}) < len(fields.files):
+        raise MalformedSpecError(EVENT_TYPE, "duplicate file name")
+    if type(fields.start) is not int or type(fields.end) is not int:
+        raise MalformedSpecError(EVENT_TYPE, "start and end must be integers")
+    if fields.start >= fields.end:
+        raise MalformedSpecError(EVENT_TYPE, "start must precede end")
+    lines.append(f"start={fields.start}\nend={fields.end}\n")
     return "".join(lines).encode("utf-8")
 
 
@@ -620,7 +639,7 @@ def build_registry(
     live.  events_query and user_fetch default to wire queries and exist
     so servers can short-circuit lookups into their own state (and tests
     can avoid sockets); a calendar server's query answers its events with
-    the decodings it made at start-up.  timeout bounds every wire request
+    the fields it encoded at start-up.  timeout bounds every wire request
     the registry's resolvers make.
     """
     if events_query is None:

@@ -10,9 +10,9 @@ All three speak the same line protocol but expose different verbs:
     calendar server   RESOLVE, EVENTS.  Hosts one calendar (resource id
                       all zeros) and resolves names from it natively,
                       recursing across servers when a chain demands it.
-                      Each event is decoded once, when it is stored,
-                      and ordered once, at start-up; an event that does
-                      not decode is refused then.
+                      Each event is encoded once, when it is stored,
+                      and ordered once, at start-up; an event its
+                      encoder refuses is refused then.
 
 Each server runs one thread per connection and handles the requests on
 a connection sequentially; shared state (occupancy, per-verb counters)
@@ -59,10 +59,10 @@ _POLL_INTERVAL_S = 0.05  # how often a server thread checks for shutdown
 
 @dataclass
 class StoredEvent:
-    """An event as its calendar serves it: spec bytes and their decoding.
+    """An event as its calendar serves it: its fields and their spec bytes.
 
-    fields becomes the decoding of the exact bytes served, made once,
-    here; an event whose spec does not decode raises MalformedSpecError.
+    spec is encoded once, here, and decodes to fields; fields the encoder
+    refuses raise MalformedSpecError.
     """
 
     event_id: bytes
@@ -71,7 +71,6 @@ class StoredEvent:
 
     def __post_init__(self) -> None:
         self.spec = kit.encode_event_spec(self.fields)
-        self.fields = kit.parse_event_spec(self.spec)
 
 
 class _LineHandler(socketserver.BaseRequestHandler):
@@ -283,7 +282,7 @@ class CalendarServer(RoleServer):
         self.advertised = advertised or self.address
         # Time periods minted by this calendar point back at it; resolve
         # them against local state instead of a loopback wire call, from
-        # the events as decoded when they were stored.
+        # the fields the events were stored with.
         self.registry = kit.build_registry(clock, userdb_address, events_query=self._events_query)
         self.hosted = {
             kit.CALENDAR_RESOURCE_ID.hex(): ResolveContext(
@@ -324,11 +323,7 @@ def serve(
     clock: Clock = system_clock,
 ) -> RoleServer:
     """Construct (bind, do not run) the server for a role from config."""
-    text = listen or cfg.addresses[role]
-    host, _, port = text.rpartition(":")
-    # Unlike an address to connect to, one to listen on may take port 0:
-    # the kernel picks a free port.
-    listen_addr = (host, 0) if host and port == "0" else wire.parse_address(text)
+    listen_addr = wire.parse_listen_address(listen or cfg.addresses[role])
     if role == "userdb":
         users = {u.user_id: (u.email, u.fileprefix) for u in cfg.users.values()}
         return UserDatabase(listen_addr, users)

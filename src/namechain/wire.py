@@ -2,7 +2,10 @@
 
 Every request and every response is a single UTF-8 line of at most
 64 KiB, terminated by one LF, with fields separated by single spaces and
-binary payloads hex-encoded.  An empty binary field is written as ``-``.
+binary payloads hex-encoded in lowercase pairs.  An empty binary field is
+written as ``-``; ``unhex_field`` takes nothing else (no upper case, no
+spaces, no empty field).  An address is ``host:port`` with no whitespace
+in the host.
 
 Verbs:
 
@@ -77,6 +80,8 @@ _ENTITY_ID_RE = re.compile(r"[0-9a-f]{32}")
 # Integers as str() writes them; "-0" and padding zeros are not.
 _UNSIGNED_INT_RE = re.compile(r"0|[1-9][0-9]*")
 _SIGNED_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
+# \s matches exactly the code points str.isspace() flags.
+_WHITESPACE_RE = re.compile(r"\s")
 
 
 def hex_field(data: bytes) -> str:
@@ -84,9 +89,14 @@ def hex_field(data: bytes) -> str:
 
 
 def unhex_field(text: str) -> bytes:
+    """Decode a field as hex_field writes it: lowercase hex pairs, or '-'.
+    bytes.fromhex alone also takes upper case and spaces between pairs."""
     if text == "-":
         return b""
-    return bytes.fromhex(text)
+    data = bytes.fromhex(text)
+    if not data or data.hex() != text:
+        raise ValueError("binary field must be lowercase hex digit pairs or '-'")
+    return data
 
 
 def parse_int(text: str, signed: bool = False) -> int:
@@ -102,11 +112,23 @@ def parse_int(text: str, signed: bool = False) -> int:
 
 
 def parse_address(address: str) -> tuple[str, int]:
+    """Decode host:port to connect to; the host holds no whitespace."""
+    host, port = parse_listen_address(address)
+    if not port:
+        raise ValueError(f"port out of range in address {address!r}")
+    return host, port
+
+
+def parse_listen_address(address: str) -> tuple[str, int]:
+    """Decode host:port to listen on: unlike an address to connect to,
+    its port may be 0, and the kernel picks a free port."""
     host, sep, port_text = address.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {address!r}")
+    if _WHITESPACE_RE.search(host):
+        raise ValueError(f"address host must be whitespace-free, got {address!r}")
     port = parse_int(port_text)
-    if not 0 < port < 65536:
+    if port > 65535:
         raise ValueError(f"port out of range in address {address!r}")
     return host, port
 
@@ -158,7 +180,7 @@ def parse_ok_resolution(fields: list[str]) -> Resolution:
         raise TransportError(f"malformed RESOLVE response ({len(fields)} fields)")
     try:
         expires_at = parse_int(fields[1], signed=True)
-        type_id = bytes.fromhex(fields[2])
+        type_id = unhex_field(fields[2])
         spec = unhex_field(fields[3])
     except ValueError as exc:
         raise TransportError(f"malformed RESOLVE response: {exc}") from None

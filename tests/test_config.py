@@ -257,3 +257,7 @@ def test_config_addresses_refuse_port_0():
         2,
         "port out of range",
     )
+
+
+def test_config_address_host_holds_no_whitespace():
+    _expect_error(MINIMAL.replace("userdb = 127.0.0.1", "userdb = my host"), 2, "whitespace-free")

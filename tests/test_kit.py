@@ -10,6 +10,7 @@ from conftest import FakeClock
 
 from namechain import kit, wire
 from namechain.bench import SCENARIOS, manual_discover
+from namechain.config import demo_deployment, format_config, parse_config
 from namechain.names import (
     LocalName,
     parse_name,
@@ -18,7 +19,7 @@ from namechain.names import (
 )
 from namechain.resolver import NotBoundError, ResolveContext, UnknownTypeError, Validity, resolve
 from namechain.resources import MalformedSpecError, ResourceDescription
-from namechain.servers import CalendarServer, StoredEvent
+from namechain.servers import CalendarServer, StoredEvent, serve
 
 T0 = 1_754_640_000_000  # 2025-08-08 08:00:00 UTC
 USER_A = bytes(range(16))
@@ -197,6 +198,109 @@ def test_event_codec_round_trips_and_refuses_every_other_spelling(fields, data):
             pytest.fail(f"{what} decoded: {mutant!r}")
 
 
+# --- the event encoder refuses what its decoder refuses
+
+TOKEN_CHARS = frozenset(string.ascii_letters + string.digits + "._-")
+# Any text but lone surrogates, which no UTF-8 spec can hold: LF, other
+# whitespace, '=', '/' and non-ASCII letters included.
+_any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ["meeting\ntag=weekly", "we/ekly", "a b", "a\n", "\u3000", ""]
+)
+
+
+@st.composite
+def _any_event_fields(draw):
+    """Event fields, each part either valid or drawn from far wider sets."""
+    fields = draw(_drawn_event_fields())
+    faults = draw(st.sets(st.sampled_from(["tag", "moderator", "location", "file", "url", "repeat", "instants"])))
+    tags, files = list(fields.tags), list(fields.files)
+    if "tag" in faults:
+        tags.insert(draw(st.integers(0, len(tags))), draw(_any_text))
+    if "file" in faults:
+        files.insert(draw(st.integers(0, len(files))), (draw(_any_text), "http://h/f"))
+    if "url" in faults and files:
+        i = draw(st.integers(0, len(files) - 1))
+        files[i] = (files[i][0], draw(_any_text))
+    if "repeat" in faults and files:
+        files.append((draw(st.sampled_from(files))[0], "http://h/again"))
+    changes = {"tags": tuple(tags), "files": tuple(files)}
+    if "moderator" in faults:
+        changes["moderator"] = draw(st.binary(min_size=15, max_size=15) | st.binary(min_size=17, max_size=17))
+    if "location" in faults:
+        changes["location"] = draw(st.sampled_from([None, "[00 00]", ResourceDescription(bytes(32)).to_bytes()]))
+    if "instants" in faults:
+        instant = st.integers(-3, 3) | st.booleans()
+        changes["start"], changes["end"] = draw(instant), draw(instant)
+    return replace(fields, **changes)
+
+
+def _valid(fields):
+    """What parse_event_spec can give back, by the rules the README states."""
+    names = [name for name, _ in fields.files]
+    return (
+        all(tag and set(tag) <= TOKEN_CHARS for tag in fields.tags)
+        and isinstance(fields.moderator, bytes)
+        and len(fields.moderator) == 16
+        and isinstance(fields.location, ResourceDescription)
+        and all(name and set(name) <= TOKEN_CHARS for name in names)
+        and len(set(names)) == len(names)
+        and all(url and not any(c.isspace() for c in url) for _, url in fields.files)
+        and type(fields.start) is int
+        and type(fields.end) is int
+        and fields.start < fields.end
+    )
+
+
+@settings(max_examples=150)
+@given(_any_event_fields())
+def test_event_encoder_refuses_or_round_trips(fields):
+    try:
+        spec = kit.encode_event_spec(fields)
+    except MalformedSpecError as exc:
+        assert exc.type_id == kit.EVENT_TYPE
+        assert not _valid(fields), exc.reason
+    else:
+        assert _valid(fields)
+        assert kit.parse_event_spec(spec) == fields
+
+
+def _unchecked_event_spec(fields):
+    """The lines encode_event_spec writes, written without its checks."""
+    lines = [f"tag={t}\n" for t in fields.tags] + [f"moderator={fields.moderator.hex()}\n"]
+    lines.append(f"location={serialize_resource_literal(fields.location)}\n")
+    lines += [f"file.{name}={url}\n" for name, url in fields.files]
+    return "".join(lines + [f"start={fields.start}\n", f"end={fields.end}\n"]).encode()
+
+
+@pytest.mark.parametrize(
+    "overrides, reason",
+    [
+        ({"tags": ("meeting", "we/ekly")}, "tag must be a token, got 'we/ekly'"),
+        ({"moderator": bytes(15)}, "moderator must be 32 lowercase hex digits"),
+        ({"moderator": bytes(17)}, "moderator must be 32 lowercase hex digits"),
+        ({"files": (("a/genda", "http://h/a"),)}, "file name must be a token, got 'a/genda'"),
+        ({"files": (("agenda", "http://h/a b"),)}, "URL must be non-empty and whitespace-free"),
+        ({"files": (("agenda", ""),)}, "URL must be non-empty and whitespace-free"),
+        ({"files": (("a", "http://h/1"), ("a", "http://h/2"))}, "duplicate file name"),
+        ({"start": True, "end": 2}, "start and end must be integers"),
+        ({"start": T0, "end": T0}, "start must precede end"),
+    ],
+)
+def test_event_encoder_refuses_with_the_decoders_reason(overrides, reason):
+    fields = _event_fields(**overrides)
+    with pytest.raises(MalformedSpecError) as encoded:
+        kit.event_description(fields)
+    with pytest.raises(MalformedSpecError) as decoded:
+        kit.parse_event_spec(_unchecked_event_spec(fields))
+    assert encoded.value.reason.startswith(reason)
+    assert encoded.value.reason == decoded.value.reason
+
+
+def test_event_encoder_refuses_a_location_that_is_not_a_description():
+    with pytest.raises(MalformedSpecError, match="location must be a resource description"):
+        kit.encode_event_spec(_event_fields(location="[00 00]"))
+
+
 # Whitespace outside ASCII as well: next line, em space, ideographic space,
 # and the file separator, which str.isspace() also counts.
 URL_WHITESPACE = ["\u0085", "\u2003", "\u3000", "\x1c", " ", "\t"]
@@ -269,6 +373,92 @@ def test_file_set_spec_round_trip():
     files = (("agenda.txt", "http://h/a?x=1"), ("notes", "http://h/n"))
     assert kit.parse_file_set_spec(kit.encode_file_set_spec(files)) == dict(files)
     assert kit.parse_file_set_spec(kit.encode_file_set_spec(())) == {}
+
+
+# --- every other spec codec decodes exactly what its encoder writes
+
+_hosts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=10).filter(
+    lambda host: not any(c.isspace() for c in host)
+)
+_ports = st.integers(1, 65535)
+
+
+def _refuses(decode, spec):
+    with pytest.raises(MalformedSpecError):
+        decode(spec)
+        pytest.fail(f"decoded {spec!r}")
+
+
+def _padded(n):
+    return f"-0{-n}" if n < 0 else f"0{n}"
+
+
+@settings(max_examples=50)
+@given(_hosts, _ports)
+def test_calendar_codec_round_trips_and_refuses_every_other_spelling(host, port):
+    address = f"{host}:{port}"
+    assert kit.parse_calendar_spec(kit.calendar_description(address).spec) == address
+    for mutant in (
+        f"{host}:{_padded(port)}",
+        f" {address}",
+        f"{address} ",
+        f"{host}: {port}",
+        f"{host[:1]} {host[1:]}:{port}",
+    ):
+        _refuses(kit.parse_calendar_spec, mutant.encode())
+
+
+@settings(max_examples=50)
+@given(_hosts, _ports, st.integers(-(2**45), 2**45), st.integers(1, 2**45))
+def test_time_period_codec_round_trips_and_refuses_every_other_spelling(host, port, start, length):
+    address, end = f"{host}:{port}", start + length
+    spec = kit.time_period_description(address, start, end).spec
+    assert kit.parse_time_period_spec(spec) == (address, start, end)
+    for mutant in (
+        f"{host}:{_padded(port)} {start} {end}",
+        f"{address} {_padded(start)} {end}",
+        f"{address} {start} {_padded(end)}",
+        f"{address}  {start} {end}",
+        f"{address} {start}  {end}",
+        f" {address} {start} {end}",
+        f"{address} {start} {end} ",
+    ):
+        _refuses(kit.parse_time_period_spec, mutant.encode())
+
+
+@settings(max_examples=50)
+@given(_hosts, _ports, st.binary(min_size=16, max_size=16), st.sampled_from([kit.USER_TYPE, kit.LOCATION_TYPE]))
+def test_addr_id_codec_round_trips_and_refuses_every_other_spelling(host, port, entity_id, owner):
+    address, id_hex = f"{host}:{port}", entity_id.hex()
+    assert wire.parse_addr_id_spec(wire.encode_addr_id_spec(address, entity_id), owner) == (address, entity_id)
+    mutants = [
+        f"{host}:{_padded(port)} {id_hex}",
+        f"{address} 0{id_hex}",
+        f"{address}  {id_hex}",
+        f" {address} {id_hex}",
+        f"{address} {id_hex} ",
+        f"{address} {id_hex[:16]} {id_hex[16:]}",
+    ]
+    if id_hex.upper() != id_hex:
+        mutants.append(f"{address} {id_hex.upper()}")
+    for mutant in mutants:
+        _refuses(lambda spec: wire.parse_addr_id_spec(spec, owner), mutant.encode())
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(_tokens, _urls), max_size=4, unique_by=lambda f: f[0]))
+def test_file_set_codec_round_trips_and_refuses_every_other_spelling(files):
+    spec = kit.encode_file_set_spec(tuple(files))
+    assert kit.parse_file_set_spec(spec) == dict(files)
+    # Names are case-sensitive tokens, so upper case spells another set.
+    text = spec.decode()
+    mutants = ["\n" + text, text + "\n"]
+    for name, url in files:
+        line = f"{name}={url}\n"
+        mutants += [text.replace(line, f" {line}"), text.replace(line, f"{name} ={url}\n")]
+        mutants += [text.replace(line, f"{name}= {url}\n"), text.replace(line, f"{name}={url} \n")]
+    for mutant in mutants:
+        _refuses(kit.parse_file_set_spec, mutant.encode())
 
 
 def test_event_bindings(fake_clock):
@@ -539,11 +729,22 @@ def test_calendar_server_refuses_an_event_that_does_not_decode():
         CalendarServer(("127.0.0.1", 0), [StoredEvent(bytes(16), fields)], None, "127.0.0.1:7001")
 
 
-def test_stored_event_holds_the_decoding_of_the_bytes_it_serves():
-    # a tag with a line break in it encodes as two tag lines
-    event = StoredEvent(bytes(16), _event_fields(tags=("meeting\ntag=weekly",)))
-    assert event.spec == kit.encode_event_spec(_event_fields(tags=("meeting", "weekly")))
-    assert event.fields == _event_fields(tags=("meeting", "weekly"))
+def test_stored_event_refuses_a_tag_that_would_encode_as_two():
+    # written out, the tag would be the two tag lines of meeting and weekly
+    with pytest.raises(MalformedSpecError, match="tag must be a token"):
+        StoredEvent(bytes(16), _event_fields(tags=("meeting\ntag=weekly",)))
+
+
+def test_start_up_decodes_no_event(monkeypatch):
+    decoded = []
+    monkeypatch.setattr(kit, "parse_event_spec", decoded.append)
+    addresses = {"userdb": "127.0.0.1:7001", "location": "127.0.0.1:7002", "calendar": "127.0.0.1:7003"}
+    cfg = parse_config(format_config(demo_deployment(addresses, T0)))
+    server = serve("calendar", cfg, "127.0.0.1:0")
+    server.server_close()
+    assert len(server.events) == 3
+    assert [ev.fields for ev in server.events] == [cfg.event_fields(e) for e in cfg.events.values()]
+    assert decoded == []
 
 
 # --- calendar native namespace

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import nested_name
 
 from namechain import kit, servers, wire
-from namechain.config import ConfigError, parse_config
+from namechain.config import ConfigError, DeploymentConfig, parse_config
 from namechain.names import parse_name
 from namechain.resolver import (
     DepthExceededError,
@@ -881,3 +881,56 @@ def test_padding_that_int_ignores_is_rejected():
     with pytest.raises(TransportError):
         wire.parse_ok_resolution(["OK", "\t5", "00" * 32, "-"])
     assert _location_server_answer(f"SETOCC {USER_ID} \t0").startswith("ERR BADREQ")
+
+
+# --- binary fields: only what hex_field writes
+
+@pytest.mark.parametrize("text", ["AB", "aB", "74 61", " 74", "74 ", "", "0", "abc", "0g", "--"])
+def test_unhex_field_takes_only_what_hex_field_writes(text):
+    with pytest.raises(ValueError):
+        wire.unhex_field(text)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        f"OK 5 {'00' * 32} AB\n",
+        f"OK 5 {'00' * 32} \n",
+        f"OK 5 {'AB' * 32} -\n",
+        f"OK 5 {'00' * 31}0A -\n",
+    ],
+    ids=["upper-case-spec", "empty-spec", "upper-case-type-id", "upper-case-type-id-digit"],
+)
+def test_resolve_reply_takes_only_canonical_hex(reply):
+    with pytest.raises(TransportError, match="malformed RESOLVE response"):
+        _reply_from_peer(
+            reply.encode(), lambda address: wire.resolve_remote(address, bytes(16), parse_name("(x)"), timeout=5)
+        )
+
+
+@pytest.mark.parametrize("payload", ["AB", "74 61", "", " 7461"], ids=["upper-case", "spaced", "empty", "padded"])
+def test_events_payload_takes_only_canonical_hex(payload):
+    with pytest.raises(TransportError, match="malformed EVENTS payload"):
+        _reply_from_peer(
+            f"OK 1\n{payload}\n".encode(), lambda address: wire.query_events(address, 0, 1, "x", timeout=5)
+        )
+
+
+# --- addresses: no whitespace in the host
+
+@pytest.mark.parametrize("space", [" ", "\t", "\u3000"], ids=["space", "tab", "ideographic-space"])
+@pytest.mark.parametrize(
+    "decode",
+    [
+        lambda host: pytest.raises(ValueError, wire.parse_address, f"{host}:1"),
+        lambda host: pytest.raises(ValueError, servers.serve, "userdb", DeploymentConfig(), f"{host}:0"),
+        lambda host: pytest.raises(
+            MalformedSpecError, wire.parse_addr_id_spec, f"{host}:1 {USER_ID}".encode(), kit.USER_TYPE
+        ),
+        lambda host: pytest.raises(MalformedSpecError, kit.parse_calendar_spec, f"{host}:1".encode()),
+        lambda host: pytest.raises(MalformedSpecError, kit.parse_time_period_spec, f"{host}:1 0 1".encode()),
+    ],
+    ids=["address", "listen-address", "addr-id-spec", "calendar-spec", "time-period-spec"],
+)
+def test_an_address_host_holds_no_whitespace(decode, space):
+    decode(f"my{space}host")
