@@ -169,7 +169,10 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
         "location": f"{args.host}:{args.port_base + 1}",
         "calendar": f"{args.host}:{args.port_base + 2}",
     }
-    cfg = demo_deployment(addresses, system_clock())
+    try:
+        cfg = demo_deployment(addresses, system_clock())
+    except ValueError as exc:  # a host or port no address may hold
+        raise ConfigError(None, str(exc)) from None
     text = format_config(cfg)
     if args.out == "-":
         sys.stdout.write(text)

@@ -160,17 +160,30 @@ def location_description(manager_address: str, location_id: bytes) -> ResourceDe
 
 
 def calendar_description(server_address: str) -> ResourceDescription:
+    wire.parse_address(server_address)
     return _describe(CALENDAR_TYPE, server_address.encode("utf-8"))
 
 
 def time_period_description(server_address: str, start: int, end: int) -> ResourceDescription:
+    wire.parse_address(server_address)
+    return _time_period_description(server_address, start, end)
+
+
+def user_description(userdb_address: str, user_id: bytes) -> ResourceDescription:
+    return _describe(USER_TYPE, wire.encode_addr_id_spec(userdb_address, user_id))
+
+
+# The address checks above cost about a microsecond.  A resolver checks
+# its address once, when it is built, and its steps describe through these.
+
+def _time_period_description(server_address: str, start: int, end: int) -> ResourceDescription:
     if start >= end:
         raise ValueError("time period start must precede end")
     return _describe(TIME_PERIOD_TYPE, f"{server_address} {start} {end}".encode("utf-8"))
 
 
-def user_description(userdb_address: str, user_id: bytes) -> ResourceDescription:
-    return _describe(USER_TYPE, wire.encode_addr_id_spec(userdb_address, user_id))
+def _user_description(userdb_address: str, user_id: bytes) -> ResourceDescription:
+    return _describe(USER_TYPE, wire._encode_addr_id_spec(userdb_address, user_id))
 
 
 def event_description(fields: "EventFields") -> ResourceDescription:
@@ -294,8 +307,13 @@ def encode_event_spec(fields: EventFields) -> bytes:
         raise MalformedSpecError(EVENT_TYPE, "start and end must be integers")
     if fields.start >= fields.end:
         raise MalformedSpecError(EVENT_TYPE, "start must precede end")
-    lines.append(f"start={fields.start}\nend={fields.end}\n")
-    return "".join(lines).encode("utf-8")
+    try:
+        lines.append(f"start={fields.start}\nend={fields.end}\n")
+        return "".join(lines).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate in a URL
+        raise MalformedSpecError(EVENT_TYPE, "specification is not UTF-8") from None
+    except ValueError:  # more digits than str() converts
+        raise MalformedSpecError(EVENT_TYPE, "start and end must be integers") from None
 
 
 def parse_event_spec(spec: bytes) -> EventFields:
@@ -437,7 +455,11 @@ class FileSetResolver:
 
 
 class EventResolver:
-    """Resolves names from an event by interpreting its static data."""
+    """Resolves names from an event by interpreting its static data.
+
+    One is built on every event step, so it leaves userdb_address to
+    build_registry, whose resolvers build it, to check once.
+    """
 
     def __init__(self, fields: EventFields, clock: Clock, userdb_address: Optional[str]) -> None:
         self.fields = fields
@@ -449,7 +471,7 @@ class EventResolver:
         if local.primary == "moderator":
             if self.userdb_address is None:
                 raise NotBoundError(local.primary, "no user database configured")
-            return user_description(self.userdb_address, self.fields.moderator), validity
+            return _user_description(self.userdb_address, self.fields.moderator), validity
         if local.primary == "location":
             return self.fields.location, validity
         if local.primary == "files":
@@ -536,6 +558,7 @@ class CalendarResolver:
     """Native calendar namespace: period names to time periods."""
 
     def __init__(self, server_address: str, clock: Clock) -> None:
+        wire.parse_address(server_address)
         self.server_address = server_address
         self.clock = clock
 
@@ -545,7 +568,7 @@ class CalendarResolver:
             raise NotBoundError(local.primary, f"calendars bind {', '.join(PERIOD_NAMES)}")
         start, end = bounds
         # The mapping from the period name drifts when the period ends.
-        return time_period_description(self.server_address, start, end), Validity(end)
+        return _time_period_description(self.server_address, start, end), Validity(end)
 
 
 class LocationStateResolver:
@@ -561,6 +584,7 @@ class LocationStateResolver:
         userdb_address: str,
         clock: Clock,
     ) -> None:
+        wire.parse_address(userdb_address)
         self.occupants = occupants
         self.userdb_address = userdb_address
         self.clock = clock
@@ -571,7 +595,7 @@ class LocationStateResolver:
         present = self.occupants()
         if not present:
             raise NotBoundError(local.primary, "location is empty")
-        description = user_description(self.userdb_address, present[0])
+        description = _user_description(self.userdb_address, present[0])
         return description, validity_from_duration(self.clock(), OCCUPANT_TTL_MS)
 
 
@@ -642,6 +666,8 @@ def build_registry(
     the fields it encoded at start-up.  timeout bounds every wire request
     the registry's resolvers make.
     """
+    if userdb_address is not None:
+        wire.parse_address(userdb_address)
     if events_query is None:
         events_query = functools.partial(fetch_events, timeout=timeout)
     if user_fetch is None:

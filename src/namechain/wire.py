@@ -148,6 +148,14 @@ def parse_entity_id(text: str, what: str = "entity identifier") -> bytes:
 # --- and user types: UTF-8 "host:port <32 lowercase hex digits>"
 
 def encode_addr_id_spec(address: str, entity_id: bytes) -> bytes:
+    """The spec of `entity_id` at `address`, refusing an address that
+    parse_address refuses, as parse_addr_id_spec does."""
+    parse_address(address)
+    return _encode_addr_id_spec(address, entity_id)
+
+
+def _encode_addr_id_spec(address: str, entity_id: bytes) -> bytes:
+    # For callers that checked `address` once, when they were built.
     if len(entity_id) != ENTITY_ID_LENGTH:
         raise ValueError(f"entity identifier must be {ENTITY_ID_LENGTH} bytes")
     return f"{address} {entity_id.hex()}".encode("utf-8")

@@ -59,7 +59,9 @@ class Deployment:
     def __init__(self, clock=None):
         self.clock = clock if clock is not None else system_clock
         now = self.clock()
-        addresses = dict.fromkeys(("userdb", "location", "calendar"), "127.0.0.1:0")
+        # Roles not bound yet hold a placeholder: a port, as in every address
+        # a description may carry, but one that no server here listens on.
+        addresses = dict.fromkeys(("userdb", "location", "calendar"), "127.0.0.1:1")
         self.servers: dict[str, RoleServer] = {}
         self.threads: list[threading.Thread] = []
         for role in addresses:

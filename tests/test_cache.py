@@ -49,15 +49,52 @@ def test_reput_replaces_the_entry():
     assert cache.get(_name("a"), now=T0).description == node_description("new")
 
 
-def test_overflow_evicts_the_earliest_expiring():
+def test_overflow_evicts_the_least_recent_entry_on_probation():
     cache = NameCache(capacity=2)
     cache.put(_name("late"), _resolution("late", T0 + 30_000), now=T0)
     cache.put(_name("soon"), _resolution("soon", T0 + 1_000), now=T0)
+    assert cache.get(_name("soon"), now=T0) is not None  # promoted
     cache.put(_name("mid"), _resolution("mid", T0 + 10_000), now=T0)
-    assert cache.get(_name("soon"), now=T0) is None
-    assert cache.get(_name("late"), now=T0) is not None
+    assert cache.get(_name("late"), now=T0) is None  # expires last, yet goes first
+    assert cache.get(_name("soon"), now=T0) is not None
     assert cache.get(_name("mid"), now=T0) is not None
     assert len(cache) == 2
+
+
+def _lookup(cache: NameCache, name: Name, now: int, ttl: int = 30_000) -> bool:
+    """cached_resolve's use of the cache: a hit, or a miss and a put."""
+    if cache.get(name, now) is not None:
+        return True
+    cache.put(name, _resolution(serialize_name(name), now + ttl), now)
+    return False
+
+
+def test_names_asked_for_again_survive_a_scan():
+    cache = NameCache(capacity=10)
+    popular = [_name(f"hot{i}") for i in range(8)]  # the protected share
+    for name in popular + popular:
+        _lookup(cache, name, T0)
+    for i in range(35):
+        assert not _lookup(cache, _name(f"scan{i}"), T0)
+    assert all(_lookup(cache, name, T0) for name in popular)
+
+
+def test_zipf_lookups_mostly_hit():
+    # Name-lookup popularity is Zipf-like; s = 1 over 8x the capacity.
+    import random
+
+    rng = random.Random(13)
+    names = [_name(f"n{i}") for i in range(1024)]
+    weights, total = [], 0.0
+    for rank in range(1, len(names) + 1):
+        total += 1 / rank
+        weights.append(total)
+    cache, clock = NameCache(capacity=128), FakeClock(0)
+    hits = 0
+    for i in rng.choices(range(len(names)), cum_weights=weights, k=100_000):
+        hits += _lookup(cache, names[i], clock())
+        clock.advance(1)
+    assert hits / 100_000 >= 0.65
 
 
 def test_capacity_must_be_positive():
@@ -184,29 +221,57 @@ def test_cached_resolve_misses_once_an_attribute_mapping_expires():
     assert cache.get(name, clock()) is None  # so cached_resolve resolves again
 
 
-class _LinearScanCache:
-    """Reference policy: on overflow, evict min((expires_at, key)) by a scan."""
+class _SegmentedLRUModel:
+    """Reference policy, one step at a time: a list per segment, least
+    recent first.
+
+    A new key joins probation.  A hit on probation moves the key to
+    protected; when protected then holds more than four fifths of the
+    capacity, its least-recent key returns to probation as most recent.  A
+    hit on protected makes the key most recent.  A new key in a full cache
+    evicts probation's least-recent key, or protected's if probation is
+    empty; a re-put key keeps its place.
+    """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
+        self.share = capacity * 4 // 5
+        assert self.share < capacity  # probation always keeps a slot
+        self.probation: list[str] = []
+        self.protected: list[str] = []
         self.expiries: dict[str, int] = {}
 
-    def get(self, key: str, now: int) -> None:
-        if key in self.expiries and now >= self.expiries[key]:
+    def get(self, key: str, now: int) -> bool:
+        segment = self.protected if key in self.protected else self.probation
+        if key not in segment:
+            return False
+        segment.remove(key)
+        if now >= self.expiries[key]:
             del self.expiries[key]
+            return False
+        self.protected.append(key)
+        if len(self.protected) > self.share:
+            self.probation.append(self.protected.pop(0))
+        return True
 
     def put(self, key: str, expires_at: int, now: int) -> None:
         if now >= expires_at:
             return
-        if key not in self.expiries and len(self.expiries) >= self.capacity:
-            del self.expiries[min(self.expiries, key=lambda k: (self.expiries[k], k))]
+        if key not in self.expiries:
+            if len(self.expiries) >= self.capacity:
+                del self.expiries[(self.probation or self.protected).pop(0)]
+            self.probation.append(key)
         self.expiries[key] = expires_at
 
+    def clear(self) -> None:
+        self.probation.clear()
+        self.protected.clear()
+        self.expiries.clear()
 
-def _compare_with_linear_scan(rng) -> None:
-    capacity = rng.randint(1, 12)
+
+def _compare_with_model(rng, capacity: int) -> None:
     names = [_name(f"k{i}") for i in range(rng.randint(capacity + 1, 3 * capacity + 4))]
-    cache, reference = NameCache(capacity), _LinearScanCache(capacity)
+    cache, reference = NameCache(capacity), _SegmentedLRUModel(capacity)
     now = T0
     for _ in range(1_000):
         name = rng.choice(names)
@@ -218,22 +283,23 @@ def _compare_with_linear_scan(rng) -> None:
             cache.put(name, _resolution(key, expires_at), now=now)
             reference.put(key, expires_at, now)
         elif op < 0.9:
-            cache.get(name, now=now)
-            reference.get(key, now)
+            assert (cache.get(name, now=now) is not None) == reference.get(key, now)
         elif op < 0.99:
             now += 100 * rng.randint(0, 3)
         else:
             cache.clear()
-            reference.expiries.clear()
-        assert set(cache._entries) == set(reference.expiries)
-        assert len(cache._heap) <= 2 * capacity
+            reference.clear()
+        assert list(cache._probation) == reference.probation
+        assert list(cache._protected) == reference.protected
+        entries = {**cache._probation, **cache._protected}
+        assert {k: e.validity.expires_at for k, e in entries.items()} == reference.expiries
 
 
-def test_eviction_matches_the_linear_scan_policy():
+def test_eviction_matches_the_segmented_lru_model():
     import random
 
     for seed in range(100):
-        _compare_with_linear_scan(random.Random(seed))
+        _compare_with_model(random.Random(seed), capacity=1 + seed % 12)
 
 
 def test_cache_is_safe_under_concurrent_use():
@@ -265,18 +331,20 @@ def test_cache_is_safe_under_concurrent_use():
     assert not errors
     assert len(cache) <= 16
 
-    # fill up with late entries, then one more put must evict exactly the
-    # earliest-expiring live entry (key breaking ties)
+    # fill up with late entries, then one more put must evict exactly
+    # probation's least-recent entry
     for i in range(16 - len(cache)):
         cache.put(_name(f"late{i}"), _resolution("v", T0 + 1_000 + i), now=T0)
-    live = {}
-    for name in [_name(f"k{i}") for i in range(20)] + [_name(f"late{i}") for i in range(16)]:
-        got = cache.get(name, now=T0)
-        if got is not None:
-            live[serialize_name(name)] = (got.validity.expires_at, name)
-    assert len(live) == len(cache) == 16
-    victim = min(live, key=lambda k: (live[k][0], k))
+    assert len(cache) == 16
+    probation, protected = list(cache._probation), list(cache._protected)
+    assert not set(probation) & set(protected)
+    assert len(protected) <= 16 * 4 // 5
+    victim = probation[0]
     cache.put(_name("newcomer"), _resolution("v", T0 + 5_000), now=T0)
     assert len(cache) == 16
-    for key, (_, name) in live.items():
-        assert (cache.get(name, now=T0) is None) == (key == victim)
+    assert list(cache._probation) == probation[1:] + [serialize_name(_name("newcomer"))]
+    names = [_name(f"k{i}") for i in range(20)] + [_name(f"late{i}") for i in range(16)]
+    for name in names:
+        key = serialize_name(name)
+        if key in probation or key in protected:
+            assert (cache.get(name, now=T0) is None) == (key == victim)

@@ -36,6 +36,12 @@ def test_fixture_to_stdout(capsys):
     assert "[addresses]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["--host", "a b"], ["--port-base", "65534"]])
+def test_fixture_refuses_an_address_no_description_may_carry(argv, capsys):
+    assert main(["fixture", "--out", "-", *argv]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
 def test_resolve_scenario_via_cli(tmp_path, deployment, capsys):
     path = _write_cfg(tmp_path, deployment.cfg)
     code = main(

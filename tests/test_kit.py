@@ -203,9 +203,12 @@ def test_event_codec_round_trips_and_refuses_every_other_spelling(fields, data):
 TOKEN_CHARS = frozenset(string.ascii_letters + string.digits + "._-")
 # Any text but lone surrogates, which no UTF-8 spec can hold: LF, other
 # whitespace, '=', '/' and non-ASCII letters included.
+# A lone surrogate is drawn only as a sample, so that URLs rarely hold one.
 _any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
-    ["meeting\ntag=weekly", "we/ekly", "a b", "a\n", "\u3000", ""]
+    ["meeting\ntag=weekly", "we/ekly", "a b", "a\n", "\u3000", "", "http://h/\ud800"]
 )
+# More digits than str() and int() convert by default (4300).
+_too_long = st.sampled_from([10**4300, -(10**4300)])
 
 
 @st.composite
@@ -229,9 +232,17 @@ def _any_event_fields(draw):
     if "location" in faults:
         changes["location"] = draw(st.sampled_from([None, "[00 00]", ResourceDescription(bytes(32)).to_bytes()]))
     if "instants" in faults:
-        instant = st.integers(-3, 3) | st.booleans()
+        instant = st.integers(-3, 3) | st.booleans() | _too_long
         changes["start"], changes["end"] = draw(instant), draw(instant)
     return replace(fields, **changes)
+
+
+def _writable(text_or_int):
+    try:
+        str(text_or_int).encode("utf-8")
+    except ValueError:  # a lone surrogate; too many digits
+        return False
+    return True
 
 
 def _valid(fields):
@@ -245,9 +256,12 @@ def _valid(fields):
         and all(name and set(name) <= TOKEN_CHARS for name in names)
         and len(set(names)) == len(names)
         and all(url and not any(c.isspace() for c in url) for _, url in fields.files)
+        and all(_writable(url) for _, url in fields.files)
         and type(fields.start) is int
         and type(fields.end) is int
         and fields.start < fields.end
+        and _writable(fields.start)
+        and _writable(fields.end)
     )
 
 
@@ -269,7 +283,7 @@ def _unchecked_event_spec(fields):
     lines = [f"tag={t}\n" for t in fields.tags] + [f"moderator={fields.moderator.hex()}\n"]
     lines.append(f"location={serialize_resource_literal(fields.location)}\n")
     lines += [f"file.{name}={url}\n" for name, url in fields.files]
-    return "".join(lines + [f"start={fields.start}\n", f"end={fields.end}\n"]).encode()
+    return "".join(lines + [f"start={fields.start}\n", f"end={fields.end}\n"]).encode("utf-8", "surrogatepass")
 
 
 @pytest.mark.parametrize(
@@ -282,6 +296,7 @@ def _unchecked_event_spec(fields):
         ({"files": (("agenda", "http://h/a b"),)}, "URL must be non-empty and whitespace-free"),
         ({"files": (("agenda", ""),)}, "URL must be non-empty and whitespace-free"),
         ({"files": (("a", "http://h/1"), ("a", "http://h/2"))}, "duplicate file name"),
+        ({"files": (("agenda", "http://h/\ud800"),)}, "specification is not UTF-8"),
         ({"start": True, "end": 2}, "start and end must be integers"),
         ({"start": T0, "end": T0}, "start must precede end"),
     ],
@@ -294,6 +309,16 @@ def test_event_encoder_refuses_with_the_decoders_reason(overrides, reason):
         kit.parse_event_spec(_unchecked_event_spec(fields))
     assert encoded.value.reason.startswith(reason)
     assert encoded.value.reason == decoded.value.reason
+
+
+def test_event_encoder_refuses_an_instant_too_long_to_write():
+    # str() and int() convert at most 4300 digits by default.
+    with pytest.raises(MalformedSpecError) as encoded:
+        kit.encode_event_spec(_event_fields(start=-(10**4300)))
+    spec = kit.encode_event_spec(_event_fields()).replace(f"start={T0}".encode(), b"start=-1" + b"0" * 4300)
+    with pytest.raises(MalformedSpecError) as decoded:
+        kit.parse_event_spec(spec)
+    assert encoded.value.reason == decoded.value.reason == "start and end must be integers"
 
 
 def test_event_encoder_refuses_a_location_that_is_not_a_description():
@@ -381,6 +406,13 @@ _hosts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_si
     lambda host: not any(c.isspace() for c in host)
 )
 _ports = st.integers(1, 65535)
+# Besides those, hosts and ports no address holds.
+_any_hosts = _hosts | st.sampled_from(["", " ", "a b", "a\tb", "\u3000", "a\n"])
+_any_ports = _ports | st.sampled_from([0, -1, 65536])
+
+
+def _holds_address(host, port):
+    return bool(host) and not any(c.isspace() for c in host) and 0 < port < 65536
 
 
 def _refuses(decode, spec):
@@ -393,10 +425,14 @@ def _padded(n):
     return f"-0{-n}" if n < 0 else f"0{n}"
 
 
-@settings(max_examples=50)
-@given(_hosts, _ports)
+@settings(max_examples=100)
+@given(_any_hosts, _any_ports)
 def test_calendar_codec_round_trips_and_refuses_every_other_spelling(host, port):
     address = f"{host}:{port}"
+    if not _holds_address(host, port):
+        with pytest.raises(ValueError):
+            kit.calendar_description(address)
+        return
     assert kit.parse_calendar_spec(kit.calendar_description(address).spec) == address
     for mutant in (
         f"{host}:{_padded(port)}",
@@ -408,10 +444,14 @@ def test_calendar_codec_round_trips_and_refuses_every_other_spelling(host, port)
         _refuses(kit.parse_calendar_spec, mutant.encode())
 
 
-@settings(max_examples=50)
-@given(_hosts, _ports, st.integers(-(2**45), 2**45), st.integers(1, 2**45))
+@settings(max_examples=100)
+@given(_any_hosts, _any_ports, st.integers(-(2**45), 2**45), st.integers(1, 2**45))
 def test_time_period_codec_round_trips_and_refuses_every_other_spelling(host, port, start, length):
     address, end = f"{host}:{port}", start + length
+    if not _holds_address(host, port):
+        with pytest.raises(ValueError):
+            kit.time_period_description(address, start, end)
+        return
     spec = kit.time_period_description(address, start, end).spec
     assert kit.parse_time_period_spec(spec) == (address, start, end)
     for mutant in (
@@ -426,10 +466,14 @@ def test_time_period_codec_round_trips_and_refuses_every_other_spelling(host, po
         _refuses(kit.parse_time_period_spec, mutant.encode())
 
 
-@settings(max_examples=50)
-@given(_hosts, _ports, st.binary(min_size=16, max_size=16), st.sampled_from([kit.USER_TYPE, kit.LOCATION_TYPE]))
+@settings(max_examples=100)
+@given(_any_hosts, _any_ports, st.binary(min_size=16, max_size=16), st.sampled_from([kit.USER_TYPE, kit.LOCATION_TYPE]))
 def test_addr_id_codec_round_trips_and_refuses_every_other_spelling(host, port, entity_id, owner):
     address, id_hex = f"{host}:{port}", entity_id.hex()
+    if not _holds_address(host, port):
+        with pytest.raises(ValueError):
+            wire.encode_addr_id_spec(address, entity_id)
+        return
     assert wire.parse_addr_id_spec(wire.encode_addr_id_spec(address, entity_id), owner) == (address, entity_id)
     mutants = [
         f"{host}:{_padded(port)} {id_hex}",
@@ -745,6 +789,21 @@ def test_start_up_decodes_no_event(monkeypatch):
     assert len(server.events) == 3
     assert [ev.fields for ev in server.events] == [cfg.event_fields(e) for e in cfg.events.values()]
     assert decoded == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda address: kit.CalendarResolver(address, FakeClock()),
+        lambda address: kit.LocationStateResolver(list, address, FakeClock()),
+        lambda address: kit.build_registry(userdb_address=address),
+    ],
+    ids=["calendar", "location-state", "registry"],
+)
+def test_resolvers_check_the_address_they_describe_with_once_when_built(build):
+    # Their steps then describe through the unchecked encoders.
+    with pytest.raises(ValueError, match="whitespace-free"):
+        build("a b:1")
 
 
 # --- calendar native namespace
