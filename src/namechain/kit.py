@@ -26,11 +26,13 @@ user            "host:port <32 hex>" (user database, user id); maps
 Each decoder accepts exactly the bytes its encoder writes, so one
 resource has one specification: file-set names in ascending order, event
 fields in the order above, integers as str() writes them (no padding
-zero, no "-0").  The file-set and event encoders refuse what their
-decoders refuse, with the same reasons, so decoding what they write gives
-back what they were given.  An event spec decodes in one match of a
-pattern of the encoder's output; only a spec the pattern refuses is
-walked line by line, and that walk only names the reason.
+zero, no "-0").  Every encoder refuses what its decoder refuses, text
+that is not UTF-8 included, so decoding what it writes gives back what
+it was given; the text encoders raise MalformedSpecError with their
+decoders' reasons.  Pretty-printers decode through the same decoders.
+An event spec decodes in one match of a pattern of the encoder's
+output; only a spec the pattern refuses is walked line by line, and
+that walk only names the reason.
 
 Location and calendar resolution happens on the hosting server: their
 client resolver is the remote proxy, which forwards the rest of the name
@@ -140,15 +142,15 @@ def _describe(type_id: bytes, spec: bytes) -> ResourceDescription:
 
 
 def string_description(text: str) -> ResourceDescription:
-    return _describe(STRING_TYPE, text.encode("utf-8"))
+    return _describe(STRING_TYPE, _encode_utf8(text, STRING_TYPE))
 
 
 def file_description(url: str) -> ResourceDescription:
-    return _describe(FILE_TYPE, url.encode("utf-8"))
+    return _describe(FILE_TYPE, _encode_url(url, FILE_TYPE))
 
 
 def file_collection_description(url_prefix: str) -> ResourceDescription:
-    return _describe(FILE_COLLECTION_TYPE, url_prefix.encode("utf-8"))
+    return _describe(FILE_COLLECTION_TYPE, _encode_url(url_prefix, FILE_COLLECTION_TYPE))
 
 
 def file_set_description(files: tuple[tuple[str, str], ...]) -> ResourceDescription:
@@ -166,6 +168,8 @@ def calendar_description(server_address: str) -> ResourceDescription:
 
 def time_period_description(server_address: str, start: int, end: int) -> ResourceDescription:
     wire.parse_address(server_address)
+    if type(start) is not int or type(end) is not int:
+        raise ValueError("time period start and end must be integers")
     return _time_period_description(server_address, start, end)
 
 
@@ -192,11 +196,29 @@ def event_description(fields: "EventFields") -> ResourceDescription:
 
 # --- specification codecs
 
+def _encode_utf8(text: str, owner_type: bytes) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        raise MalformedSpecError(owner_type, "specification is not UTF-8") from None
+
+
 def _decode_utf8(spec: bytes, owner_type: bytes) -> str:
     try:
         return spec.decode("utf-8")
     except UnicodeDecodeError:
         raise MalformedSpecError(owner_type, "specification is not UTF-8") from None
+
+
+def _encode_url(url: str, owner_type: bytes) -> bytes:
+    _require_url(url, owner_type)
+    return _encode_utf8(url, owner_type)
+
+
+def _decode_url(spec: bytes, owner_type: bytes) -> str:
+    url = _decode_utf8(spec, owner_type)
+    _require_url(url, owner_type)
+    return url
 
 
 def parse_calendar_spec(spec: bytes) -> str:
@@ -230,7 +252,7 @@ def encode_file_set_spec(files: tuple[tuple[str, str], ...]) -> bytes:
         _require_token(name, FILE_SET_TYPE, "file name")
         _require_url(url, FILE_SET_TYPE)
         lines.append(f"{name}={url}\n")
-    return "".join(lines).encode("utf-8")
+    return _encode_utf8("".join(lines), FILE_SET_TYPE)
 
 
 def parse_file_set_spec(spec: bytes) -> dict[str, str]:
@@ -309,11 +331,9 @@ def encode_event_spec(fields: EventFields) -> bytes:
         raise MalformedSpecError(EVENT_TYPE, "start must precede end")
     try:
         lines.append(f"start={fields.start}\nend={fields.end}\n")
-        return "".join(lines).encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate in a URL
-        raise MalformedSpecError(EVENT_TYPE, "specification is not UTF-8") from None
     except ValueError:  # more digits than str() converts
         raise MalformedSpecError(EVENT_TYPE, "start and end must be integers") from None
+    return _encode_utf8("".join(lines), EVENT_TYPE)
 
 
 def parse_event_spec(spec: bytes) -> EventFields:
@@ -390,7 +410,7 @@ def _event_spec_fault(text: str) -> str:
 
 
 def files_common_prefix(files: tuple[tuple[str, str], ...]) -> Optional[str]:
-    """Prefix P with url == P + name for every entry, if one exists."""
+    """Non-empty prefix P with url == P + name for every entry, if one exists."""
     if not files:
         return None
     prefix: Optional[str] = None
@@ -402,7 +422,7 @@ def files_common_prefix(files: tuple[tuple[str, str], ...]) -> Optional[str]:
             prefix = candidate
         elif prefix != candidate:
             return None
-    return prefix
+    return prefix or None
 
 
 # --- resolver implementations
@@ -602,15 +622,15 @@ class LocationStateResolver:
 # --- pretty-printers for the command line
 
 def _pretty_string(spec: bytes) -> str:
-    return f'string "{spec.decode("utf-8")}"'
+    return f'string "{_decode_utf8(spec, STRING_TYPE)}"'
 
 
 def _pretty_file(spec: bytes) -> str:
-    return f"file {spec.decode('utf-8')}"
+    return f"file {_decode_url(spec, FILE_TYPE)}"
 
 
 def _pretty_collection(spec: bytes) -> str:
-    return f"file collection with prefix {spec.decode('utf-8')}"
+    return f"file collection with prefix {_decode_url(spec, FILE_COLLECTION_TYPE)}"
 
 
 def _pretty_file_set(spec: bytes) -> str:
@@ -618,9 +638,10 @@ def _pretty_file_set(spec: bytes) -> str:
     return f"file set of {len(files)}: {', '.join(sorted(files))}"
 
 
-def _pretty_location(spec: bytes) -> str:
-    address, location_id = wire.parse_addr_id_spec(spec, LOCATION_TYPE)
-    return f"location {location_id.hex()} managed at {address}"
+def _pretty_addr_id(owner_type: bytes, wording: str, spec: bytes) -> str:
+    # For the "host:port <id>" types; wording holds {id} and {address}.
+    address, entity_id = wire.parse_addr_id_spec(spec, owner_type)
+    return wording.format(id=entity_id.hex(), address=address)
 
 
 def _pretty_calendar(spec: bytes) -> str:
@@ -636,16 +657,6 @@ def _pretty_event(spec: bytes) -> str:
     fields = parse_event_spec(spec)
     tags = ",".join(fields.tags) or "untagged"
     return f"event tagged {tags}, start={fields.start}, end={fields.end}"
-
-
-def _pretty_user(spec: bytes) -> str:
-    address, user_id = wire.parse_addr_id_spec(spec, USER_TYPE)
-    return f"user {user_id.hex()} in database at {address}"
-
-
-def _pretty_remote(spec: bytes) -> str:
-    address, resource_id = wire.parse_addr_id_spec(spec, wire.REMOTE_TYPE)
-    return f"remote resource {resource_id.hex()} at {address}"
 
 
 def build_registry(
@@ -680,13 +691,11 @@ def build_registry(
         return EmptyNamespaceResolver("string")
 
     def file_factory(spec: bytes) -> EmptyNamespaceResolver:
-        _require_url(_decode_utf8(spec, FILE_TYPE), FILE_TYPE)
+        _decode_url(spec, FILE_TYPE)
         return EmptyNamespaceResolver("file")
 
     def collection_factory(spec: bytes) -> FileCollectionResolver:
-        prefix = _decode_utf8(spec, FILE_COLLECTION_TYPE)
-        _require_url(prefix, FILE_COLLECTION_TYPE)
-        return FileCollectionResolver(prefix, clock)
+        return FileCollectionResolver(_decode_url(spec, FILE_COLLECTION_TYPE), clock)
 
     def file_set_factory(spec: bytes) -> FileSetResolver:
         return FileSetResolver(parse_file_set_spec(spec), clock)
@@ -719,16 +728,16 @@ def build_registry(
         FILE_COLLECTION_TYPE, collection_factory, label="file-collection", pretty=_pretty_collection
     )
     registry.register(FILE_SET_TYPE, file_set_factory, label="file-set", pretty=_pretty_file_set)
-    registry.register(
-        LOCATION_TYPE, proxy_factory(LOCATION_TYPE), label="location", pretty=_pretty_location
-    )
     registry.register(CALENDAR_TYPE, calendar_factory, label="calendar", pretty=_pretty_calendar)
     registry.register(
         TIME_PERIOD_TYPE, time_period_factory, label="time-period", pretty=_pretty_time_period
     )
     registry.register(EVENT_TYPE, event_factory, label="event", pretty=_pretty_event)
-    registry.register(USER_TYPE, user_factory, label="user", pretty=_pretty_user)
-    registry.register(
-        wire.REMOTE_TYPE, proxy_factory(wire.REMOTE_TYPE), label="remote", pretty=_pretty_remote
-    )
+    for owner_type, label, factory, wording in (
+        (LOCATION_TYPE, "location", proxy_factory(LOCATION_TYPE), "location {id} managed at {address}"),
+        (USER_TYPE, "user", user_factory, "user {id} in database at {address}"),
+        (wire.REMOTE_TYPE, "remote", proxy_factory(wire.REMOTE_TYPE), "remote resource {id} at {address}"),
+    ):
+        pretty = functools.partial(_pretty_addr_id, owner_type, wording)
+        registry.register(owner_type, factory, label=label, pretty=pretty)
     return registry

@@ -39,18 +39,8 @@ from typing import Callable, Optional
 
 from . import kit, wire
 from .config import DeploymentConfig
-from .names import NameSyntaxError, parse_name
-from .resolver import (
-    Clock,
-    DepthExceededError,
-    NotBoundError,
-    ResolveContext,
-    TransportError,
-    UnknownTypeError,
-    resolve,
-    system_clock,
-)
-from .resources import MalformedSpecError
+from .names import parse_name
+from .resolver import Clock, ResolveContext, resolve, system_clock
 
 log = logging.getLogger(__name__)
 
@@ -146,20 +136,8 @@ class RoleServer(socketserver.ThreadingTCPServer):
             return [wire.error_line("BADREQ", f"unsupported verb {verb or '?'}")]
         try:
             return handler(rest)
-        except NameSyntaxError as exc:
-            return [wire.error_line("BADREQ", f"bad name: {exc}")]
-        except NotBoundError as exc:
-            return [wire.error_line("NOTBOUND", exc.local)]
-        except UnknownTypeError as exc:
-            return [wire.error_line("UNKNOWNTYPE", exc.type_id.hex())]
-        except DepthExceededError as exc:
-            return [wire.error_line("DEPTH", str(exc.max_depth or ""))]
-        except TransportError as exc:
-            return [wire.error_line("INTERNAL", f"upstream failure: {exc.detail}")]
-        except MalformedSpecError as exc:
-            return [wire.error_line("INTERNAL", f"malformed specification: {exc.reason}")]
-        except ValueError as exc:
-            return [wire.error_line("BADREQ", str(exc))]
+        except wire.REPORTED_ERRORS as exc:
+            return [wire.error_reply(exc)]
 
     # RESOLVE, shared by the roles that resolve natively
 
@@ -242,23 +220,15 @@ class LocationManager(RoleServer):
             users = self.occupancy.get(location_id)
         if users is None:
             return [wire.error_line("NOTFOUND", rest)]
-        return [" ".join(["OK", str(len(users))] + [u.hex() for u in users])]
+        return ["OK " + wire.format_id_list(users)]
 
     def _handle_setocc(self, rest: str) -> list[str]:
-        parts = rest.split(" ") if rest else []
-        if len(parts) < 2:
-            return [wire.error_line("BADREQ", "expected SETOCC <location-id> <n> <user-id>*")]
-        location_id = wire.parse_entity_id(parts[0], "location id")
-        try:
-            count = wire.parse_int(parts[1])
-        except ValueError:
-            return [wire.error_line("BADREQ", "occupant count must be an integer")]
-        ids = [wire.parse_entity_id(p, "user id") for p in parts[2:]]
-        if len(ids) != count:
-            return [wire.error_line("BADREQ", "occupant count does not match id list")]
+        location_hex, *id_list = rest.split(" ")
+        location_id = wire.parse_entity_id(location_hex, "location id")
+        ids = wire.parse_id_list(id_list)
         with self._state_lock:
             if location_id not in self.occupancy:
-                return [wire.error_line("NOTFOUND", parts[0])]
+                return [wire.error_line("NOTFOUND", location_hex)]
             self.occupancy[location_id] = ids
         return ["OK"]
 

@@ -27,9 +27,17 @@ Every id field (resource, user, location) is exactly 32 lowercase hex
 digits, 16 bytes; anything else, padding or inner whitespace included,
 is a bad request.  ``parse_entity_id`` is the one decoder for them.
 
-Any failure is ``ERR <code> <detail>`` with code one of NOTBOUND,
-UNKNOWNTYPE, DEPTH, NOTFOUND, BADREQ, INTERNAL; the client maps each
-code back onto the corresponding resolution error.
+Any failure is ``ERR <code> <detail>``.  ``error_reply`` writes the
+line for what a verb handler raised and ``raise_wire_error`` raises its
+client-side error; the codes, with what the detail carries:
+
+    NOTBOUND <local>      NotBoundError, with that local name
+    UNKNOWNTYPE <type-id> UnknownTypeError, with that type id
+    DEPTH <max-depth>     DepthExceededError, with that step budget
+    NOTFOUND <id>         NotBoundError: no such record or resource
+    BADREQ <reason>       TransportError: a malformed request or name
+    INTERNAL <reason>     TransportError: an upstream failure or a bad
+                          stored specification
 
 Integer fields are ASCII decimal digits without a leading zero, with one
 leading ``-`` only on instants (``parse_int``); ``+``, ``-0``, separators
@@ -55,9 +63,9 @@ import socket
 import struct
 import threading
 from collections import deque
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
-from .names import Name, _build, serialize_name
+from .names import Name, NameSyntaxError, _build, serialize_name
 from .resolver import (
     DepthExceededError,
     NotBoundError,
@@ -200,9 +208,33 @@ def parse_ok_resolution(fields: list[str]) -> Resolution:
     return Resolution(description, Validity(expires_at))
 
 
+# --- failures <-> ERR line
+
 def error_line(code: str, detail: str = "") -> str:
     detail = " ".join(detail.split()) or "-"
     return f"ERR {code} {detail}"
+
+
+# What a verb handler may raise, in the order error_reply tries them (a
+# NameSyntaxError is also a ValueError), with its code and detail.
+_ERR_REPLIES: tuple[tuple[type[Exception], str, Callable[[Any], str]], ...] = (
+    (NameSyntaxError, "BADREQ", lambda exc: f"bad name: {exc}"),
+    (NotBoundError, "NOTBOUND", lambda exc: exc.local),
+    (UnknownTypeError, "UNKNOWNTYPE", lambda exc: exc.type_id.hex()),
+    (DepthExceededError, "DEPTH", lambda exc: str(exc.max_depth or "")),
+    (TransportError, "INTERNAL", lambda exc: f"upstream failure: {exc.detail}"),
+    (MalformedSpecError, "INTERNAL", lambda exc: f"malformed specification: {exc.reason}"),
+    (ValueError, "BADREQ", str),
+)
+REPORTED_ERRORS = tuple(cls for cls, _, _ in _ERR_REPLIES)
+
+
+def error_reply(exc: Exception) -> str:
+    """The ERR line answering `exc`, an instance of REPORTED_ERRORS."""
+    for cls, code, detail in _ERR_REPLIES:
+        if isinstance(exc, cls):
+            return error_line(code, detail(exc))
+    raise TypeError(f"no ERR code reports {type(exc).__name__}")
 
 
 def raise_wire_error(code: str, detail: str) -> None:
@@ -219,10 +251,27 @@ def raise_wire_error(code: str, detail: str) -> None:
             type_id = b"\x00" * TYPE_ID_LENGTH
         raise UnknownTypeError(type_id)
     if code == "DEPTH":
+        if _UNSIGNED_INT_RE.fullmatch(detail):
+            raise DepthExceededError(int(detail))
         raise DepthExceededError(detail=detail or "reported by remote element")
     if code == "NOTFOUND":
         raise NotBoundError(detail or "?", "no such record or resource")
     raise TransportError(f"remote error {code}: {detail or '-'}")
+
+
+# --- id lists: "<n> <id-hex>*", the ids of users in arrival order
+
+def format_id_list(ids: list[bytes]) -> str:
+    return " ".join([str(len(ids))] + [i.hex() for i in ids])
+
+
+def parse_id_list(fields: list[str]) -> list[bytes]:
+    """Decode an id list split at its spaces: a count, then that many ids."""
+    count = parse_int(fields[0] if fields else "")
+    ids = [parse_entity_id(f, "user identifier") for f in fields[1:]]
+    if len(ids) != count:
+        raise ValueError("id count does not match id list")
+    return ids
 
 
 # --- line connections, both ends
@@ -441,20 +490,15 @@ def occupancy(address: str, location_id: bytes, timeout: float = DEFAULT_TIMEOUT
     fields, _ = _roundtrip(address, f"OCCUPANCY {location_id.hex()}", timeout)
     fields = _expect_ok(fields, "OCCUPANCY")
     try:
-        count = parse_int(fields[1])
-        ids = [parse_entity_id(f, "user identifier") for f in fields[2:]]
-    except (IndexError, ValueError) as exc:
+        return parse_id_list(fields[1:])
+    except ValueError as exc:
         raise TransportError(f"malformed OCCUPANCY response: {exc}") from None
-    if len(ids) != count:
-        raise TransportError("OCCUPANCY count does not match id list")
-    return ids
 
 
 def set_occupancy(
     address: str, location_id: bytes, user_ids: list[bytes], timeout: float = DEFAULT_TIMEOUT
 ) -> None:
-    parts = [f"SETOCC {location_id.hex()} {len(user_ids)}"] + [u.hex() for u in user_ids]
-    fields, _ = _roundtrip(address, " ".join(parts), timeout)
+    fields, _ = _roundtrip(address, f"SETOCC {location_id.hex()} {format_id_list(user_ids)}", timeout)
     _expect_ok(fields, "SETOCC")
 
 

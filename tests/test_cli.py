@@ -294,6 +294,8 @@ def test_serve_on_port_0_prints_the_address_it_serves_at(tmp_path):
         except subprocess.TimeoutExpired:  # pragma: no cover
             proc.kill()
             raise
+        finally:
+            proc.stdout.close()
 
 
 def test_serve_rejects_unknown_role(tmp_path, deployment):

@@ -344,6 +344,39 @@ def test_urls_with_any_whitespace_are_rejected(space):
         registry.instantiate(kit.file_collection_description(url))
     with pytest.raises(MalformedSpecError):
         kit.encode_file_set_spec((("a.txt", url),))
+    # The encoders above refuse the URL themselves; the factories refuse
+    # it too, in a description built without them.
+    for type_id in (kit.FILE_TYPE, kit.FILE_COLLECTION_TYPE):
+        with pytest.raises(MalformedSpecError):
+            registry.instantiate(ResourceDescription(type_id, url.encode()))
+
+
+@pytest.mark.parametrize(
+    "encode,owner",
+    [
+        (kit.string_description, kit.STRING_TYPE),
+        (kit.file_description, kit.FILE_TYPE),
+        (kit.file_collection_description, kit.FILE_COLLECTION_TYPE),
+        (lambda text: kit.encode_file_set_spec((("a", text),)), kit.FILE_SET_TYPE),
+    ],
+    ids=["string", "file", "file-collection", "file-set"],
+)
+def test_text_encoders_refuse_a_lone_surrogate_as_their_decoders_refuse_it(encode, owner):
+    with pytest.raises(MalformedSpecError) as excinfo:
+        encode("http://h/\ud800")
+    assert (excinfo.value.type_id, excinfo.value.reason) == (owner, "specification is not UTF-8")
+
+
+@pytest.mark.parametrize("encode", [kit.file_description, kit.file_collection_description])
+@pytest.mark.parametrize("url", ["", "http://h/ a", "http://h/\ta"])
+def test_file_encoders_refuse_what_their_factories_refuse(encode, url):
+    registry = kit.build_registry()
+    with pytest.raises(MalformedSpecError) as encoded:
+        encode(url)
+    type_id = kit.FILE_TYPE if encode is kit.file_description else kit.FILE_COLLECTION_TYPE
+    with pytest.raises(MalformedSpecError) as decoded:
+        registry.instantiate(ResourceDescription(type_id, url.encode()))
+    assert encoded.value.reason == decoded.value.reason
 
 
 # Line breaks str.splitlines() honours besides LF; no encoder writes one.
@@ -444,11 +477,16 @@ def test_calendar_codec_round_trips_and_refuses_every_other_spelling(host, port)
         _refuses(kit.parse_calendar_spec, mutant.encode())
 
 
+# Besides ints, instants no period holds: bool is an int subclass that
+# str() writes as a word, and floats are written with a point.
+_any_instants = st.integers(-(2**45), 2**45) | st.booleans() | st.floats(-(2**45), 2**45)
+
+
 @settings(max_examples=100)
-@given(_any_hosts, _any_ports, st.integers(-(2**45), 2**45), st.integers(1, 2**45))
+@given(_any_hosts, _any_ports, _any_instants, st.integers(1, 2**45) | st.floats(1, 2**45))
 def test_time_period_codec_round_trips_and_refuses_every_other_spelling(host, port, start, length):
     address, end = f"{host}:{port}", start + length
-    if not _holds_address(host, port):
+    if not _holds_address(host, port) or type(start) is not int or type(end) is not int:
         with pytest.raises(ValueError):
             kit.time_period_description(address, start, end)
         return
@@ -544,6 +582,19 @@ def test_files_common_prefix_rules():
     assert kit.files_common_prefix((("a", "http://h/p/a"), ("b", "http://q/b"))) is None
     assert kit.files_common_prefix((("a", "http://h/renamed"),)) is None
     assert kit.files_common_prefix(()) is None
+    # URLs equal to their names share only the empty prefix, which no
+    # file collection has.
+    assert kit.files_common_prefix((("a", "a"), ("b", "b"))) is None
+
+
+def test_event_files_named_by_their_own_urls_become_a_file_set(fake_clock):
+    registry = kit.build_registry(fake_clock)
+    event = kit.event_description(_event_fields(files=(("a", "a"), ("b", "b"))))
+    ctx = ResolveContext(registry, registry.instantiate(event), fake_clock)
+    files = resolve(ctx, parse_name("(files)")).description
+    assert files.type_id == kit.FILE_SET_TYPE
+    assert kit.parse_file_set_spec(files.spec) == {"a": "a", "b": "b"}
+    assert resolve(ctx, parse_name("(files a)")).description == kit.file_description("a")
 
 
 # --- time periods: first tagged event, against a linear scan oracle

@@ -156,3 +156,48 @@ def test_pretty_for_known_types():
     registry = kit.build_registry()
     assert registry.pretty(kit.string_description("hi")) == 'string "hi"'
     assert "http://h/u/" in registry.pretty(kit.file_collection_description("http://h/u/"))
+
+
+def test_pretty_decodes_through_the_factorys_decoder():
+    # Each kit type renders exactly the specs its factory accepts; every
+    # other spec renders as undecodable.
+    registry = kit.build_registry()
+    event = kit.EventFields(("t",), bytes(16), kit.string_description("x"), (), 1, 2)
+    specs = [
+        d.spec
+        for d in (
+            kit.string_description("hi"),
+            kit.file_description("http://h/a"),
+            kit.file_set_description((("a", "http://h/a"),)),
+            kit.location_description("h:1", bytes(16)),
+            kit.calendar_description("h:1"),
+            kit.time_period_description("h:1", 0, 5),
+            kit.event_description(event),
+        )
+    ] + [b"", b"\xff", b"http://h/ a", b"h:1 ", b"a=http://h/ a\n"]
+    for type_id in registry.type_ids():
+        label = registry.label_for(type_id)
+        for spec in specs:
+            description = ResourceDescription(type_id, spec)
+            try:
+                registry.instantiate(description)
+            except MalformedSpecError:
+                assert registry.pretty(description) == f"{label} (undecodable specification)"
+            else:
+                assert "undecodable" not in registry.pretty(description)
+    raw_file = ResourceDescription(kit.FILE_TYPE, b"http://h/ a")
+    assert registry.pretty(raw_file) == "file (undecodable specification)"
+
+
+def test_pretty_wording_of_the_addr_id_types():
+    registry = kit.build_registry()
+    entity_id = bytes(range(16))
+    assert registry.pretty(kit.location_description("h:1", entity_id)) == (
+        f"location {entity_id.hex()} managed at h:1"
+    )
+    assert registry.pretty(kit.user_description("h:1", entity_id)) == (
+        f"user {entity_id.hex()} in database at h:1"
+    )
+    assert registry.pretty(wire.remote_description("h:1", entity_id)) == (
+        f"remote resource {entity_id.hex()} at h:1"
+    )

@@ -9,7 +9,7 @@ from conftest import nested_name
 
 from namechain import kit, servers, wire
 from namechain.config import ConfigError, DeploymentConfig, parse_config
-from namechain.names import parse_name
+from namechain.names import NameSyntaxError, parse_name
 from namechain.resolver import (
     DepthExceededError,
     NotBoundError,
@@ -65,6 +65,57 @@ def test_error_line_flattens_detail():
 def test_error_codes_map_onto_resolution_errors(code, expected):
     with pytest.raises(expected):
         wire.raise_wire_error(code, "detail")
+
+
+# One failure of each class a server reports, the code its ERR line
+# carries, and the class and key field the client raises for that line.
+REPORTED_FAILURES = [
+    (NameSyntaxError(3, "unexpected ')'"), "BADREQ", TransportError, None),
+    (NotBoundError("occupant", "location is empty"), "NOTBOUND", NotBoundError, ("local", "occupant")),
+    (UnknownTypeError(b"\x07" * 32), "UNKNOWNTYPE", UnknownTypeError, ("type_id", b"\x07" * 32)),
+    (DepthExceededError(32), "DEPTH", DepthExceededError, ("max_depth", 32)),
+    (DepthExceededError(), "DEPTH", DepthExceededError, ("max_depth", None)),
+    (TransportError("connection refused"), "INTERNAL", TransportError, None),
+    (MalformedSpecError(kit.EVENT_TYPE, "bad start"), "INTERNAL", TransportError, None),
+    (ValueError("location id must be 32 lowercase hex digits"), "BADREQ", TransportError, None),
+]
+
+
+def _raising(exc):
+    def handler(rest):
+        raise exc
+
+    return handler
+
+
+@pytest.mark.parametrize("exc,code,expected,key", REPORTED_FAILURES)
+def test_every_reported_failure_comes_back_as_the_class_the_client_documents(exc, code, expected, key):
+    assert isinstance(exc, wire.REPORTED_ERRORS)
+    server = servers.UserDatabase(("127.0.0.1", 0), {})
+    try:
+        server._handlers["GETUSER"] = _raising(exc)
+        (line,) = server.process_line("GETUSER x")
+    finally:
+        server.server_close()
+    assert line == wire.error_reply(exc)
+    assert line.split(" ")[:2] == ["ERR", code]
+    with pytest.raises(expected) as excinfo:
+        wire._expect_ok(line.split(" "), "GETUSER")
+    if key is not None:
+        assert getattr(excinfo.value, key[0]) == key[1]
+    if isinstance(exc, DepthExceededError):  # "... step count of 32", not "... count (32)"
+        assert str(excinfo.value).startswith(str(exc))
+
+
+def test_every_reported_class_has_a_failure_above_and_others_propagate():
+    assert {type(exc) for exc, *_ in REPORTED_FAILURES} == set(wire.REPORTED_ERRORS)
+    server = servers.UserDatabase(("127.0.0.1", 0), {})
+    try:
+        server._handlers["GETUSER"] = _raising(RuntimeError("bug"))
+        with pytest.raises(RuntimeError):
+            server.process_line("GETUSER x")
+    finally:
+        server.server_close()
 
 
 # 32 characters, but bytes.fromhex skips whitespace and decodes 15 bytes.
@@ -881,6 +932,26 @@ def test_padding_that_int_ignores_is_rejected():
     with pytest.raises(TransportError):
         wire.parse_ok_resolution(["OK", "\t5", "00" * 32, "-"])
     assert _location_server_answer(f"SETOCC {USER_ID} \t0").startswith("ERR BADREQ")
+
+
+# --- id lists: one codec for OCCUPANCY answers and SETOCC requests
+
+@given(st.lists(st.binary(min_size=16, max_size=16), max_size=5))
+def test_id_list_codec_round_trips(ids):
+    assert wire.parse_id_list(wire.format_id_list(ids).split(" ")) == ids
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "x", "1", "0 " + USER_ID, "2 " + USER_ID, "01 " + USER_ID, "1  " + USER_ID,
+     "1 " + USER_ID.upper(), f"1 {USER_ID} "],
+)
+def test_id_list_is_refused_alike_by_server_and_client(text):
+    with pytest.raises(ValueError):
+        wire.parse_id_list(text.split(" "))
+    assert _location_server_answer(f"SETOCC {USER_ID} {text}").startswith("ERR BADREQ")
+    with pytest.raises(TransportError, match="^transport failure \\(malformed OCCUPANCY response"):
+        _reply_from_peer(f"OK {text}\n".encode(), lambda a: wire.occupancy(a, bytes(16), timeout=5))
 
 
 # --- binary fields: only what hex_field writes
