@@ -26,6 +26,7 @@ from .resolver import (
     DEFAULT_MAX_DEPTH,
     Clock,
     DepthExceededError,
+    MalformedSpecError,
     NegativeDurationError,
     NotBoundError,
     Resolution,
@@ -43,7 +44,6 @@ from .resolver import (
 from .resources import (
     TYPE_ID_LENGTH,
     DuplicateTypeError,
-    MalformedSpecError,
     ResourceDescription,
     TypeRegistry,
     derive_type_id,

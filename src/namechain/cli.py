@@ -12,15 +12,36 @@ Exit codes: 0 success, 1 resolution or deployment failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import threading
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bench, kit, servers, wire
 from .config import ConfigError, DeploymentConfig, demo_deployment, format_config, load_config
 from .names import NameSyntaxError, parse_name, parse_resource_literal
-from .resolver import ResolutionError, ResolveContext, resolve, system_clock
-from .resources import MalformedSpecError
+from .resolver import ResolutionError, ResolveContext, UnknownTypeError, resolve, system_clock
+
+
+def _positive(
+    convert: Callable[[str], float], what: str, most: float = math.inf
+) -> Callable[[str], float]:
+    """An argparse type: `convert`, then refuse all but 0 < value <= most."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not 0 < value <= most:  # NaN fails this too
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+# A socket takes a timeout of at most threading.TIMEOUT_MAX seconds.
+_TIMEOUT = _positive(float, f"seconds in (0, {threading.TIMEOUT_MAX:.0f}]", threading.TIMEOUT_MAX)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="resolve a name relative to an initial resource")
     p.add_argument("--initial", required=True, help="configured alias or [type-hex spec-hex] literal")
     p.add_argument("--config", help="deployment configuration file")
-    p.add_argument("--timeout", type=float, default=wire.DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=_TIMEOUT, default=wire.DEFAULT_TIMEOUT)
     p.add_argument("name", help="name in canonical syntax, e.g. '(printer administrator)'")
 
     p = sub.add_parser("serve", help="run one server role in the foreground")
@@ -47,10 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time scenario discovery, resolver vs manual queries")
     p.add_argument("--config", required=True)
     p.add_argument("--scenario", required=True, type=int, choices=(1, 2, 3))
-    p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--iterations", type=_positive(int, "a positive integer"), default=1000)
     p.add_argument("--mode", required=True, choices=("nun", "manual"))
     p.add_argument("--cache", action="store_true", help="resolve through a name cache")
-    p.add_argument("--timeout", type=float, default=wire.DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=_TIMEOUT, default=wire.DEFAULT_TIMEOUT)
 
     p = sub.add_parser("fixture", help="write a demo deployment configuration")
     p.add_argument("--out", required=True, help="output path, or - for stdout")
@@ -90,14 +111,10 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     try:
         initial = registry.instantiate(initial_desc)
         if initial is None:
-            print(
-                f"error: cannot resolve from unknown type {initial_desc.type_id.hex()}",
-                file=sys.stderr,
-            )
-            return 1
+            raise UnknownTypeError(initial_desc.type_id, step=0)
         ctx = ResolveContext(registry=registry, initial=initial, clock=system_clock)
         resolution = resolve(ctx, name)
-    except (ResolutionError, MalformedSpecError) as exc:
+    except ResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     description = resolution.description
@@ -155,7 +172,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             use_cache=args.cache,
             timeout=args.timeout,
         )
-    except (bench.ModeDisagreement, ResolutionError, MalformedSpecError) as exc:
+    except (bench.ModeDisagreement, ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     name_text = bench.SCENARIOS[args.scenario].name_text

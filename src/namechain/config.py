@@ -25,7 +25,8 @@ from typing import Optional
 
 from . import kit, wire
 from .names import NameSyntaxError, parse_resource_literal, serialize_resource_literal
-from .resources import MalformedSpecError, ResourceDescription
+from .resolver import MalformedSpecError
+from .resources import ResourceDescription
 
 
 class ConfigError(Exception):

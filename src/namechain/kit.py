@@ -67,12 +67,13 @@ from .names import (
 )
 from .resolver import (
     Clock,
+    MalformedSpecError,
     NotBoundError,
     Validity,
     system_clock,
     validity_from_duration,
 )
-from .resources import MalformedSpecError, ResourceDescription, TypeRegistry, derive_type_id
+from .resources import ResourceDescription, TypeRegistry, derive_type_id
 
 STRING_TYPE = derive_type_id("namechain.type.string.v1")
 FILE_TYPE = derive_type_id("namechain.type.file.v1")

@@ -153,6 +153,19 @@ class TransportError(ResolutionError):
     headline = "transport failure"
 
 
+class MalformedSpecError(ResolutionError):
+    """A type's own code refused the specification bytes of a description."""
+
+    def __init__(self, type_id: bytes, reason: str) -> None:
+        super().__init__()
+        self.type_id = type_id
+        self.reason = reason
+
+    @property
+    def headline(self) -> str:
+        return f"malformed specification for type {self.type_id.hex()}: {self.reason}"
+
+
 class Resolver(Protocol):
     """Behavioral contract every resource's resolution code satisfies.
 
@@ -241,17 +254,25 @@ def _walk(
 
     `validity` is that of the attribute resolutions already made for the
     name (None if none); the result's validity intersects it with every
-    step's.  Every step, local or delegated, spends one unit of the
-    budget in the same place, and a failure there carries that step
-    unless it already knows a deeper one.
+    step's.  A step, local or delegated, is one pass of the loop's `try`:
+    choose the resolver (resolver_for, as the module docstring says, else
+    the registry), spend one unit of the budget, resolve; any failure in
+    it carries that step unless it already knows a deeper one.
     """
     resolver = ctx.initial
     chain = name.locals
     step = 0
     while True:
-        resolve_name = getattr(resolver, "resolve_name", None)
         try:
+            if step:
+                resolver_for = getattr(resolver, "resolver_for", None)
+                resolver = None
+                if resolver_for is not None and ctx.registry.knows(description.type_id):
+                    resolver = resolver_for(description)
+                if resolver is None and (resolver := ctx.registry.instantiate(description)) is None:
+                    raise UnknownTypeError(description.type_id)
             budget.spend()
+            resolve_name = getattr(resolver, "resolve_name", None)
             if resolve_name is None:
                 description, step_validity = resolver.resolve_local(chain[0])
                 chain = chain[1:]
@@ -270,24 +291,14 @@ def _walk(
         if not chain:
             return Resolution(description, validity)
         step += 1
-        # The next resolver: the step's own resolver_for, as long as the
-        # registry knows the type, else the registry's.
-        resolver_for = getattr(resolver, "resolver_for", None)
-        resolver = None
-        if resolver_for is not None and ctx.registry.knows(description.type_id):
-            resolver = resolver_for(description)
-        if resolver is None:
-            resolver = ctx.registry.instantiate(description)
-            if resolver is None:
-                raise UnknownTypeError(description.type_id, step=step)
 
 
 def resolve(ctx: ResolveContext, name: Name) -> Resolution:
     """Resolve a name relative to the context's initial resource.
 
-    Raises NotBoundError, UnknownTypeError, DepthExceededError or
-    TransportError; errors carry the chain step (0-based) they occurred
-    at when known.
+    Every failure is a ResolutionError: NotBoundError, UnknownTypeError,
+    DepthExceededError, TransportError or MalformedSpecError (a spec its
+    type's code refused), carrying the chain step (0-based) it occurred at.
     """
     budget = _Budget(ctx.max_depth)
     validity = None

@@ -24,15 +24,6 @@ class DuplicateTypeError(Exception):
     """A factory is already registered for this type identifier."""
 
 
-class MalformedSpecError(Exception):
-    """A factory rejected the specification bytes of a description."""
-
-    def __init__(self, type_id: bytes, reason: str) -> None:
-        super().__init__(f"malformed specification for type {type_id.hex()}: {reason}")
-        self.type_id = type_id
-        self.reason = reason
-
-
 def derive_type_id(descriptor: bytes | str) -> bytes:
     """Derive a 256-bit type identifier as the SHA-256 of a descriptor."""
     if isinstance(descriptor, str):
@@ -125,8 +116,8 @@ class TypeRegistry:
     def instantiate(self, description: ResourceDescription) -> "Resolver | None":
         """Construct a resolver for a description; None for an unknown type.
 
-        The factory may raise MalformedSpecError when the specification
-        bytes do not decode for its type.
+        A factory raises resolver.MalformedSpecError, a ResolutionError
+        that resolution stamps with its step, for bytes its type refuses.
         """
         entry = self._entries.get(description.type_id)
         if entry is None:

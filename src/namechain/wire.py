@@ -68,13 +68,14 @@ from typing import Any, Callable, Optional
 from .names import Name, NameSyntaxError, _build, serialize_name
 from .resolver import (
     DepthExceededError,
+    MalformedSpecError,
     NotBoundError,
     Resolution,
     TransportError,
     UnknownTypeError,
     Validity,
 )
-from .resources import MalformedSpecError, ResourceDescription, TYPE_ID_LENGTH, derive_type_id
+from .resources import ResourceDescription, TYPE_ID_LENGTH, derive_type_id
 
 MAX_LINE_BYTES = 65536
 DEFAULT_TIMEOUT = 5.0
@@ -244,16 +245,18 @@ def raise_wire_error(code: str, detail: str) -> None:
         raise NotBoundError(detail or "?", "reported by remote element")
     if code == "UNKNOWNTYPE":
         try:
-            type_id = bytes.fromhex(detail)
+            type_id = unhex_field(detail)
         except ValueError:
-            type_id = b"\x00" * TYPE_ID_LENGTH
+            type_id = b""
         if len(type_id) != TYPE_ID_LENGTH:
             type_id = b"\x00" * TYPE_ID_LENGTH
         raise UnknownTypeError(type_id)
     if code == "DEPTH":
-        if _UNSIGNED_INT_RE.fullmatch(detail):
-            raise DepthExceededError(int(detail))
-        raise DepthExceededError(detail=detail or "reported by remote element")
+        try:
+            max_depth = parse_int(detail)
+        except ValueError:
+            raise DepthExceededError(detail=detail or "reported by remote element") from None
+        raise DepthExceededError(max_depth)
     if code == "NOTFOUND":
         raise NotBoundError(detail or "?", "no such record or resource")
     raise TransportError(f"remote error {code}: {detail or '-'}")
@@ -480,7 +483,7 @@ def get_user(address: str, user_id: bytes, timeout: float = DEFAULT_TIMEOUT) -> 
     """Fetch a user record: (email, file collection URL prefix)."""
     fields, _ = _roundtrip(address, f"GETUSER {user_id.hex()}", timeout)
     fields = _expect_ok(fields, "GETUSER")
-    if len(fields) != 3:
+    if len(fields) != 3 or not fields[1] or not fields[2]:
         raise TransportError("malformed GETUSER response")
     return fields[1], fields[2]
 

@@ -158,6 +158,46 @@ def test_resolve_malformed_event_spec_exits_1(tmp_path, capsys, spec, reason):
     assert err == f"error: malformed specification for type {kit.EVENT_TYPE.hex()}: {reason}\n"
 
 
+def test_resolve_spec_refused_mid_chain_exits_1_with_its_step(capsys):
+    # an event whose location is a calendar spec that holds no address
+    event = kit.event_description(
+        kit.EventFields((), bytes(16), ResourceDescription(kit.CALENDAR_TYPE, b"no address"), (), 0, 1)
+    )
+    literal = serialize_resource_literal(event)
+    assert main(["resolve", "--initial", literal, "(location today)"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed specification for type {kit.CALENDAR_TYPE.hex()}: "
+        "address must be host:port, got 'no address' at step 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,argument",
+    [
+        (["bench", "--scenario", "1", "--mode", "nun", "--iterations", "0"], "--iterations"),
+        (["bench", "--scenario", "1", "--mode", "nun", "--iterations", "-3"], "--iterations"),
+        (["bench", "--scenario", "1", "--mode", "nun", "--iterations", "2.5"], "--iterations"),
+        (["bench", "--scenario", "1", "--mode", "nun", "--timeout", "0"], "--timeout"),
+        (["resolve", "--initial", "calendar", "--timeout", "-1", "(today)"], "--timeout"),
+        (["resolve", "--initial", "calendar", "--timeout", "nan", "(today)"], "--timeout"),
+        (["resolve", "--initial", "calendar", "--timeout", "inf", "(today)"], "--timeout"),
+        (["resolve", "--initial", "calendar", "--timeout", "1e10", "(today)"], "--timeout"),
+    ],
+)
+def test_numeric_arguments_out_of_range_exit_2_with_usage(tmp_path, capsys, argv, argument):
+    from namechain.config import demo_deployment
+
+    addresses = {"userdb": "127.0.0.1:1", "location": "127.0.0.1:2", "calendar": "127.0.0.1:3"}
+    path = _write_cfg(tmp_path, demo_deployment(addresses, 0))
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv[:1] + ["--config", path] + argv[1:])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: namechain ")
+    assert f"error: argument {argument}: expected " in err
+    assert "Traceback" not in err
+
+
 def test_broken_config_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.cfg"
     path.write_text("[addresses]\nuserdb = nonsense\n", encoding="utf-8")

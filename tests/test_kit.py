@@ -17,8 +17,15 @@ from namechain.names import (
     parse_resource_literal,
     serialize_resource_literal,
 )
-from namechain.resolver import NotBoundError, ResolveContext, UnknownTypeError, Validity, resolve
-from namechain.resources import MalformedSpecError, ResourceDescription
+from namechain.resolver import (
+    MalformedSpecError,
+    NotBoundError,
+    ResolveContext,
+    UnknownTypeError,
+    Validity,
+    resolve,
+)
+from namechain.resources import ResourceDescription
 from namechain.servers import CalendarServer, StoredEvent, serve
 
 T0 = 1_754_640_000_000  # 2025-08-08 08:00:00 UTC

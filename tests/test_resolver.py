@@ -3,9 +3,12 @@ from hypothesis import given, strategies as st
 
 from conftest import Graph, MapResolver, node_description
 
+from namechain import kit
+from namechain.cache import NameCache, cached_resolve
 from namechain.names import LocalName, Name, ResourceValue, parse_name
 from namechain.resolver import (
     DepthExceededError,
+    MalformedSpecError,
     NegativeDurationError,
     NotBoundError,
     Resolution,
@@ -180,6 +183,75 @@ def test_attribute_errors_carry_the_step_of_the_holding_local_name(text, step):
         resolve(_ctx(graph, "a"), parse_name(text))
     assert excinfo.value.local == "missing"
     assert excinfo.value.step == step
+
+
+# --- a refused specification is the failure of one step
+
+REFUSED_TYPE = derive_type_id("namechain.test.refused.v1")
+PERIOD = kit.time_period_description("127.0.0.1:1", T0, T0 + 1)
+
+
+def _refusing_factory(spec):
+    raise MalformedSpecError(REFUSED_TYPE, "refused by its factory")
+
+
+def _malformed_events(address, start, end, tag):
+    return [(b"not an event spec", None)]
+
+
+def _trap_graph(hops):
+    """n0 -s0-> n1 ... -> n<hops>; every node also binds `refused` to a
+    description its factory refuses and `period` to a time period whose
+    events query answers a malformed event spec."""
+    traps = {"refused": ResourceDescription(REFUSED_TYPE, b""), "period": PERIOD}
+    edges = {f"n{i}": {f"s{i}": f"n{i + 1}", **traps} for i in range(hops)}
+    graph = Graph(edges)
+    graph.registry.register(REFUSED_TYPE, _refusing_factory)
+    graph.registry.register(
+        kit.TIME_PERIOD_TYPE,
+        lambda spec: kit.TimePeriodResolver(
+            *kit.parse_time_period_spec(spec), lambda: T0, _malformed_events
+        ),
+    )
+    return graph
+
+
+def _refused_at(where, k):
+    """A context and a name whose resolution refuses a spec at step k."""
+    graph = _trap_graph(k + 1)
+    initial = graph.resolver("n0")
+    hops = [f"s{i}" for i in range(k)]
+    if where == "attribute":
+        locals_ = hops + [f"s{k}[u=(refused onward)]"]
+    elif where == "decode" and k == 0:
+        initial, locals_ = graph.registry.instantiate(PERIOD), ["meeting"]
+    else:
+        # step k-1 yields the trap's description, step k refuses it
+        trap = {"factory": ["refused", "onward"], "decode": ["period", "meeting"]}[where]
+        locals_ = hops[:-1] + trap
+    return ResolveContext(registry=graph.registry, initial=initial), f"({' '.join(locals_)})"
+
+
+# The initial resolver is built before resolution starts, so a factory
+# refuses at step 1 at the earliest.
+REFUSALS = [
+    (where, k) for where in ("factory", "decode", "attribute") for k in range(5) if (where, k) != ("factory", 0)
+]
+
+
+def _cached_resolve(ctx, name):
+    return cached_resolve(ctx, NameCache(), name)
+
+
+@pytest.mark.parametrize("through", [resolve, _cached_resolve], ids=["resolve", "cached_resolve"])
+@pytest.mark.parametrize("where,k", REFUSALS)
+def test_a_refused_spec_is_a_resolution_error_carrying_its_step(where, k, through):
+    ctx, text = _refused_at(where, k)
+    with pytest.raises(ResolutionError) as excinfo:
+        through(ctx, parse_name(text))
+    assert isinstance(excinfo.value, MalformedSpecError)
+    assert excinfo.value.step == k
+    assert str(excinfo.value).endswith(f" at step {k}")
 
 
 class _RecordingResolver:

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from namechain import kit, wire
+from namechain.resolver import MalformedSpecError
 from namechain.resources import (
     DuplicateTypeError,
-    MalformedSpecError,
     ResourceDescription,
     TYPE_ID_LENGTH,
     TypeRegistry,

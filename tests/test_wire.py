@@ -15,12 +15,13 @@ from namechain.resolver import (
     NotBoundError,
     Resolution,
     ResolveContext,
+    MalformedSpecError,
     TransportError,
     UnknownTypeError,
     Validity,
     resolve,
 )
-from namechain.resources import MalformedSpecError, ResourceDescription
+from namechain.resources import ResourceDescription
 from namechain.servers import LocationManager, UserDatabase, start_in_thread
 
 
@@ -105,6 +106,23 @@ def test_every_reported_failure_comes_back_as_the_class_the_client_documents(exc
         assert getattr(excinfo.value, key[0]) == key[1]
     if isinstance(exc, DepthExceededError):  # "... step count of 32", not "... count (32)"
         assert str(excinfo.value).startswith(str(exc))
+
+
+# Details error_reply never writes: the type id is not 64 lowercase hex
+# digits, the budget not an integer as str() writes it.
+@pytest.mark.parametrize("detail", ["ab " * 32, "AB" * 32, "ab" * 31, "ab" * 33, "-", "why"])
+def test_an_unknowntype_detail_not_in_canonical_hex_gives_the_zero_type_id(detail):
+    with pytest.raises(UnknownTypeError) as excinfo:
+        wire.raise_wire_error("UNKNOWNTYPE", detail)
+    assert excinfo.value.type_id == bytes(32)
+
+
+@pytest.mark.parametrize("detail", ["032", "+32", "3_2", "٣٢", "-1", "-", "why"])
+def test_a_depth_detail_not_in_canonical_digits_gives_no_max_depth(detail):
+    with pytest.raises(DepthExceededError) as excinfo:
+        wire.raise_wire_error("DEPTH", detail)
+    assert excinfo.value.max_depth is None
+    assert excinfo.value.detail == ("reported by remote element" if detail == "-" else detail)
 
 
 def test_every_reported_class_has_a_failure_above_and_others_propagate():
@@ -512,6 +530,22 @@ def test_pooled_connection_closed_by_its_peer_is_retried_once():
         assert len(peer.lines) == 2
     finally:
         peer.close()
+
+
+@pytest.mark.parametrize("reply", [b"OK a@b \n", b"OK  file://h/a\n", b"OK  \n"])
+def test_getuser_reply_with_an_empty_field_is_a_transport_error(reply):
+    with pytest.raises(TransportError, match="malformed GETUSER response"):
+        _reply_from_peer(reply, lambda address: wire.get_user(address, bytes(16), timeout=5))
+
+    def files_of_that_user(address):
+        registry = kit.build_registry(userdb_address=address, timeout=5)
+        initial = registry.instantiate(kit.user_description(address, bytes(16)))
+        resolve(ResolveContext(registry=registry, initial=initial), parse_name("(files x)"))
+
+    # not a file collection with an empty prefix that its factory refuses
+    with pytest.raises(TransportError, match="malformed GETUSER response") as excinfo:
+        _reply_from_peer(reply, files_of_that_user)
+    assert excinfo.value.step == 0
 
 
 def test_pooled_connection_to_a_silent_peer_is_not_retried():
