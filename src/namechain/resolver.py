@@ -17,11 +17,12 @@ joins the intersection too: the name means what it means only while
 its attributes do.
 
 A resolver that can handle whole names by itself (typically a proxy for
-a networked element with native resolution support) may additionally
-offer ``resolve_name(name) -> Resolution``; the engine then hands the
-entire remaining chain over in one step.  When the initial resource
-itself does so, the engine literalizes nothing: the name goes over as
-it is, and the element behind it anchors the attributes to itself.
+a networked element with native resolution support) may offer
+``resolve_name(name) -> Resolution`` in place of resolve_local; the
+engine then hands the entire remaining chain over in one step.  When
+the initial resource itself does so, the engine literalizes nothing:
+the name goes over as it is, and the element behind it anchors the
+attributes to itself.
 
 A resolver that decodes the description it returns (to check it, or to
 compute the validity) may offer ``resolver_for(description)``: the
@@ -172,7 +173,9 @@ class Resolver(Protocol):
     resolve_local receives a local name whose attribute values are all
     literal (tokens or resource descriptions, never nested names) and
     either returns a description plus the validity the resource assigns
-    to that one mapping, or raises NotBoundError.
+    to that one mapping, or raises NotBoundError.  A resolver that offers
+    resolve_name (see the module docstring) need not offer it: the
+    engine hands such a resolver every name whole.
     """
 
     def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:

@@ -14,6 +14,12 @@ All three speak the same line protocol but expose different verbs:
                       and ordered once, at start-up; an event its
                       encoder refuses is refused then.
 
+Every request and reply line has its codec in ``wire``: a handler
+decodes its request there, deals in values, and encodes its reply
+there.  A handler that finds nothing raises ``wire.NotFound``, and
+every failure a handler raises is answered in ``process_line``'s one
+``except``, through ``wire.error_reply``.
+
 Each server runs one thread per connection and handles the requests on
 a connection sequentially; shared state (occupancy, per-verb counters)
 sits behind locks so concurrent connections interleave safely.  A
@@ -39,7 +45,6 @@ from typing import Callable, Optional
 
 from . import kit, wire
 from .config import DeploymentConfig
-from .names import parse_name
 from .resolver import Clock, ResolveContext, resolve, system_clock
 
 log = logging.getLogger(__name__)
@@ -100,9 +105,8 @@ class RoleServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
     role = "?"
-    # Roles that speak RESOLVE: the resources they resolve from, keyed by
-    # the id as a RESOLVE line writes it (32 lowercase hex digits).
-    hosted: dict[str, ResolveContext]
+    # Roles that speak RESOLVE: the resources they resolve from, by id.
+    hosted: dict[bytes, ResolveContext]
 
     def __init__(self, listen: tuple[str, int]) -> None:
         super().__init__(listen, _LineHandler)
@@ -132,9 +136,9 @@ class RoleServer(socketserver.ThreadingTCPServer):
         # grow the table.
         with self._stats_lock:
             self.stats[verb if handler is not None else "?"] += 1
-        if handler is None:
-            return [wire.error_line("BADREQ", f"unsupported verb {verb or '?'}")]
         try:
+            if handler is None:
+                raise ValueError(f"unsupported verb {verb or '?'}")
             return handler(rest)
         except wire.REPORTED_ERRORS as exc:
             return [wire.error_reply(exc)]
@@ -142,36 +146,34 @@ class RoleServer(socketserver.ThreadingTCPServer):
     # RESOLVE, shared by the roles that resolve natively
 
     def _handle_resolve(self, rest: str) -> list[str]:
-        id_hex, sep, name_text = rest.partition(" ")
-        if not sep:
-            return [wire.error_line("BADREQ", "expected RESOLVE <resource-id> <name>")]
-        ctx = self.hosted.get(id_hex)
+        resource_id, name = wire.parse_resolve_request(rest)
+        ctx = self.hosted.get(resource_id)
         if ctx is None:
-            wire.parse_entity_id(id_hex, "resource id")  # BADREQ if malformed
-            return [wire.error_line("NOTFOUND", id_hex)]
-        return [wire.format_ok_resolution(resolve(ctx, parse_name(name_text)))]
+            raise wire.NotFound(resource_id.hex())
+        return [wire.format_ok_resolution(resolve(ctx, name))]
 
 
 class UserDatabase(RoleServer):
-    """Indexes user records by identifier; no naming support at all."""
+    """Indexes user records by identifier; no naming support at all.
+
+    Each record's reply line is encoded once, here; a record its encoder
+    refuses raises ValueError.
+    """
 
     role = "userdb"
 
     def __init__(self, listen: tuple[str, int], users: dict[bytes, tuple[str, str]]) -> None:
+        self.records = {user_id: wire.format_user_record(*record) for user_id, record in users.items()}
         super().__init__(listen)
-        self.users = dict(users)
 
     def _verbs(self):
         return {"GETUSER": self._handle_getuser}
 
     def _handle_getuser(self, rest: str) -> list[str]:
-        user_id = wire.parse_entity_id(rest, "user id")
-        with self._state_lock:
-            record = self.users.get(user_id)
+        record = self.records.get(wire.parse_entity_id(rest, "user id"))
         if record is None:
-            return [wire.error_line("NOTFOUND")]
-        email, fileprefix = record
-        return [f"OK {email} {fileprefix}"]
+            raise wire.NotFound()
+        return [record]
 
 
 class LocationManager(RoleServer):
@@ -190,7 +192,7 @@ class LocationManager(RoleServer):
         self.occupancy = {loc: list(users) for loc, users in occupancy.items()}
         self.registry = kit.build_registry(clock, userdb_address)
         self.hosted = {
-            location_id.hex(): ResolveContext(
+            location_id: ResolveContext(
                 self.registry,
                 kit.LocationStateResolver(self._occupants_of(location_id), userdb_address, clock),
                 clock,
@@ -219,18 +221,16 @@ class LocationManager(RoleServer):
         with self._state_lock:
             users = self.occupancy.get(location_id)
         if users is None:
-            return [wire.error_line("NOTFOUND", rest)]
-        return ["OK " + wire.format_id_list(users)]
+            raise wire.NotFound(location_id.hex())
+        return [wire.ok_line(wire.format_id_list(users))]
 
     def _handle_setocc(self, rest: str) -> list[str]:
-        location_hex, *id_list = rest.split(" ")
-        location_id = wire.parse_entity_id(location_hex, "location id")
-        ids = wire.parse_id_list(id_list)
+        location_id, ids = wire.parse_setocc_request(rest)
         with self._state_lock:
             if location_id not in self.occupancy:
-                return [wire.error_line("NOTFOUND", location_hex)]
+                raise wire.NotFound(location_id.hex())
             self.occupancy[location_id] = ids
-        return ["OK"]
+        return [wire.ok_line()]
 
 
 class CalendarServer(RoleServer):
@@ -255,7 +255,7 @@ class CalendarServer(RoleServer):
         # the fields the events were stored with.
         self.registry = kit.build_registry(clock, userdb_address, events_query=self._events_query)
         self.hosted = {
-            kit.CALENDAR_RESOURCE_ID.hex(): ResolveContext(
+            kit.CALENDAR_RESOURCE_ID: ResolveContext(
                 self.registry, kit.CalendarResolver(self.advertised, clock), clock
             )
         }
@@ -274,16 +274,8 @@ class CalendarServer(RoleServer):
         return kit.fetch_events(address, start, end, tag)
 
     def _handle_events(self, rest: str) -> list[str]:
-        parts = rest.split(" ")
-        if len(parts) != 3:
-            return [wire.error_line("BADREQ", "expected EVENTS <start-ms> <end-ms> <tag>")]
-        try:
-            start = wire.parse_int(parts[0], signed=True)
-            end = wire.parse_int(parts[1], signed=True)
-        except ValueError:
-            return [wire.error_line("BADREQ", "start and end must be integer milliseconds")]
-        events = self.query_local(start, end, parts[2])
-        return [f"OK {len(events)}"] + [wire.hex_field(ev.spec) for ev in events]
+        events = self.query_local(*wire.parse_events_request(rest))
+        return wire.format_events_reply([ev.spec for ev in events])
 
 
 def serve(

@@ -15,6 +15,7 @@ Verbs:
         the spaces inside it are unambiguous.
     GETUSER <user-id-hex>
         -> OK <email> <fileprefix-url>            (user database only)
+        Both fields are non-empty and whitespace-free.
     OCCUPANCY <location-id-hex>
         -> OK <n> <user-id-hex>*                  (arrival order)
     SETOCC <location-id-hex> <n> <user-id-hex>*
@@ -22,6 +23,14 @@ Verbs:
     EVENTS <start-ms> <end-ms> <tag>
         -> OK <n>  followed by n lines, each one hex-encoded event
            specification, ordered by start instant then event id
+        The tag is a token, as in names and event specs.
+
+Every line has one encoder and one decoder, both here: the client calls
+below write each request and read its reply, and a server's handlers
+decode requests and encode replies through the functions beside them.
+Each encoder refuses what its decoder refuses, so no value can put a
+second line on a connection.  There is no version word: the three roles
+ship and deploy together.
 
 Every id field (resource, user, location) is exactly 32 lowercase hex
 digits, 16 bytes; anything else, padding or inner whitespace included,
@@ -34,7 +43,8 @@ client-side error; the codes, with what the detail carries:
     NOTBOUND <local>      NotBoundError, with that local name
     UNKNOWNTYPE <type-id> UnknownTypeError, with that type id
     DEPTH <max-depth>     DepthExceededError, with that step budget
-    NOTFOUND <id>         NotBoundError: no such record or resource
+    NOTFOUND <id>         NotBoundError: a handler raised NotFound, as
+                          there is no such record or resource
     BADREQ <reason>       TransportError: a malformed request or name
     INTERNAL <reason>     TransportError: an upstream failure or a bad
                           stored specification
@@ -65,7 +75,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .names import Name, NameSyntaxError, _build, serialize_name
+from .names import _TOKEN_RE, Name, NameSyntaxError, _build, parse_name, serialize_name
 from .resolver import (
     DepthExceededError,
     MalformedSpecError,
@@ -146,6 +156,12 @@ def format_address(host: str, port: int) -> str:
     return f"{host}:{port}"
 
 
+def format_entity_id(entity_id: bytes) -> str:
+    if len(entity_id) != ENTITY_ID_LENGTH:
+        raise ValueError(f"entity identifier must be {ENTITY_ID_LENGTH} bytes")
+    return entity_id.hex()
+
+
 def parse_entity_id(text: str, what: str = "entity identifier") -> bytes:
     """Decode an entity id: exactly 32 lowercase hex digits, nothing else."""
     if not _ENTITY_ID_RE.fullmatch(text):
@@ -165,9 +181,7 @@ def encode_addr_id_spec(address: str, entity_id: bytes) -> bytes:
 
 def _encode_addr_id_spec(address: str, entity_id: bytes) -> bytes:
     # For callers that checked `address` once, when they were built.
-    if len(entity_id) != ENTITY_ID_LENGTH:
-        raise ValueError(f"entity identifier must be {ENTITY_ID_LENGTH} bytes")
-    return f"{address} {entity_id.hex()}".encode("utf-8")
+    return f"{address} {format_entity_id(entity_id)}".encode("utf-8")
 
 
 def parse_addr_id_spec(spec: bytes, owner_type: bytes) -> tuple[str, bytes]:
@@ -183,6 +197,55 @@ def parse_addr_id_spec(spec: bytes, owner_type: bytes) -> tuple[str, bytes]:
         return address, parse_entity_id(id_hex)
     except ValueError as exc:
         raise MalformedSpecError(owner_type, str(exc)) from None
+
+
+# --- requests after their verb, as the client calls below write them
+
+def parse_resolve_request(rest: str) -> tuple[bytes, Name]:
+    id_hex, sep, name_text = rest.partition(" ")
+    if not sep:
+        raise ValueError("expected RESOLVE <resource-id> <name>")
+    return parse_entity_id(id_hex, "resource id"), parse_name(name_text)
+
+
+def parse_setocc_request(rest: str) -> tuple[bytes, list[bytes]]:
+    location_hex, *id_list = rest.split(" ")
+    return parse_entity_id(location_hex, "location id"), parse_id_list(id_list)
+
+
+def _event_tag(tag: str) -> str:
+    if not _TOKEN_RE.fullmatch(tag):
+        raise ValueError("event tag must be a token")
+    return tag
+
+
+def parse_events_request(rest: str) -> tuple[int, int, str]:
+    fields = rest.split(" ")
+    if len(fields) != 3:
+        raise ValueError("expected EVENTS <start-ms> <end-ms> <tag>")
+    try:
+        start, end = parse_int(fields[0], signed=True), parse_int(fields[1], signed=True)
+    except ValueError:
+        raise ValueError("start and end must be integer milliseconds") from None
+    return start, end, _event_tag(fields[2])
+
+
+# --- replies other than RESOLVE's: the first line is "OK" and its fields
+
+def ok_line(*fields: str) -> str:
+    return " ".join(("OK",) + fields)
+
+
+def format_user_record(email: str, fileprefix: str) -> str:
+    """The GETUSER reply, refusing what get_user refuses: an empty field,
+    or one holding whitespace."""
+    if not email or not fileprefix or _WHITESPACE_RE.search(email + fileprefix):
+        raise ValueError("user record fields must be non-empty and whitespace-free")
+    return ok_line(email, fileprefix)
+
+
+def format_events_reply(specs: list[bytes]) -> list[str]:
+    return [f"OK {len(specs)}"] + [hex_field(spec) for spec in specs]
 
 
 # --- resolution <-> OK line
@@ -211,6 +274,10 @@ def parse_ok_resolution(fields: list[str]) -> Resolution:
 
 # --- failures <-> ERR line
 
+class NotFound(LookupError):
+    """A server holds nothing under the id a request names."""
+
+
 def error_line(code: str, detail: str = "") -> str:
     detail = " ".join(detail.split()) or "-"
     return f"ERR {code} {detail}"
@@ -223,6 +290,7 @@ _ERR_REPLIES: tuple[tuple[type[Exception], str, Callable[[Any], str]], ...] = (
     (NotBoundError, "NOTBOUND", lambda exc: exc.local),
     (UnknownTypeError, "UNKNOWNTYPE", lambda exc: exc.type_id.hex()),
     (DepthExceededError, "DEPTH", lambda exc: str(exc.max_depth or "")),
+    (NotFound, "NOTFOUND", str),
     (TransportError, "INTERNAL", lambda exc: f"upstream failure: {exc.detail}"),
     (MalformedSpecError, "INTERNAL", lambda exc: f"malformed specification: {exc.reason}"),
     (ValueError, "BADREQ", str),
@@ -265,7 +333,7 @@ def raise_wire_error(code: str, detail: str) -> None:
 # --- id lists: "<n> <id-hex>*", the ids of users in arrival order
 
 def format_id_list(ids: list[bytes]) -> str:
-    return " ".join([str(len(ids))] + [i.hex() for i in ids])
+    return " ".join([str(len(ids))] + [format_entity_id(i) for i in ids])
 
 
 def parse_id_list(fields: list[str]) -> list[bytes]:
@@ -475,22 +543,23 @@ def resolve_remote(
     address: str, resource_id: bytes, name: Name, timeout: float = DEFAULT_TIMEOUT
 ) -> Resolution:
     """Ask the element at `address` to resolve `name` from a hosted resource."""
-    fields, _ = _roundtrip(address, f"RESOLVE {resource_id.hex()} {serialize_name(name)}", timeout)
+    request = f"RESOLVE {format_entity_id(resource_id)} {serialize_name(name)}"
+    fields, _ = _roundtrip(address, request, timeout)
     return parse_ok_resolution(_expect_ok(fields, "RESOLVE"))
 
 
 def get_user(address: str, user_id: bytes, timeout: float = DEFAULT_TIMEOUT) -> tuple[str, str]:
     """Fetch a user record: (email, file collection URL prefix)."""
-    fields, _ = _roundtrip(address, f"GETUSER {user_id.hex()}", timeout)
+    fields, _ = _roundtrip(address, f"GETUSER {format_entity_id(user_id)}", timeout)
     fields = _expect_ok(fields, "GETUSER")
-    if len(fields) != 3 or not fields[1] or not fields[2]:
+    if len(fields) != 3 or not fields[1] or not fields[2] or _WHITESPACE_RE.search(fields[1] + fields[2]):
         raise TransportError("malformed GETUSER response")
     return fields[1], fields[2]
 
 
 def occupancy(address: str, location_id: bytes, timeout: float = DEFAULT_TIMEOUT) -> list[bytes]:
     """List of user ids currently in the location, in arrival order."""
-    fields, _ = _roundtrip(address, f"OCCUPANCY {location_id.hex()}", timeout)
+    fields, _ = _roundtrip(address, f"OCCUPANCY {format_entity_id(location_id)}", timeout)
     fields = _expect_ok(fields, "OCCUPANCY")
     try:
         return parse_id_list(fields[1:])
@@ -501,21 +570,27 @@ def occupancy(address: str, location_id: bytes, timeout: float = DEFAULT_TIMEOUT
 def set_occupancy(
     address: str, location_id: bytes, user_ids: list[bytes], timeout: float = DEFAULT_TIMEOUT
 ) -> None:
-    fields, _ = _roundtrip(address, f"SETOCC {location_id.hex()} {format_id_list(user_ids)}", timeout)
-    _expect_ok(fields, "SETOCC")
+    request = f"SETOCC {format_entity_id(location_id)} {format_id_list(user_ids)}"
+    fields, _ = _roundtrip(address, request, timeout)
+    if _expect_ok(fields, "SETOCC") != ["OK"]:
+        raise TransportError("malformed SETOCC response")
 
 
 def query_events(
     address: str, start: int, end: int, tag: str, timeout: float = DEFAULT_TIMEOUT
 ) -> list[bytes]:
-    """Event specifications within [start, end) carrying `tag`, in order."""
+    """Event specifications within [start, end) carrying `tag`, in order.
+
+    A tag that is not a token raises ValueError before anything is sent."""
     def count(fields: list[str]) -> int:
         try:
-            return parse_int(fields[1])
-        except (IndexError, ValueError):
+            (count_text,) = fields[1:]
+            return parse_int(count_text)
+        except ValueError:
             raise TransportError("malformed EVENTS response") from None
 
-    fields, extras = _roundtrip(address, f"EVENTS {start} {end} {tag}", timeout, extra_count=count)
+    request = f"EVENTS {start} {end} {_event_tag(tag)}"
+    fields, extras = _roundtrip(address, request, timeout, extra_count=count)
     _expect_ok(fields, "EVENTS")
     try:
         return [unhex_field(line) for line in extras]
@@ -540,10 +615,6 @@ class RemoteResolver:
 
     def resolve_name(self, name: Name) -> Resolution:
         return resolve_remote(self.address, self.resource_id, name, self.timeout)
-
-    def resolve_local(self, local) -> tuple[ResourceDescription, Validity]:
-        resolution = self.resolve_name(Name((local,)))
-        return resolution.description, resolution.validity
 
 
 def remote_description(address: str, resource_id: bytes) -> ResourceDescription:

@@ -76,6 +76,7 @@ REPORTED_FAILURES = [
     (UnknownTypeError(b"\x07" * 32), "UNKNOWNTYPE", UnknownTypeError, ("type_id", b"\x07" * 32)),
     (DepthExceededError(32), "DEPTH", DepthExceededError, ("max_depth", 32)),
     (DepthExceededError(), "DEPTH", DepthExceededError, ("max_depth", None)),
+    (wire.NotFound("ee" * 16), "NOTFOUND", NotBoundError, ("local", "ee" * 16)),
     (TransportError("connection refused"), "INTERNAL", TransportError, None),
     (MalformedSpecError(kit.EVENT_TYPE, "bad start"), "INTERNAL", TransportError, None),
     (ValueError("location id must be 32 lowercase hex digits"), "BADREQ", TransportError, None),
@@ -371,10 +372,6 @@ def test_remote_resolver_delegates_whole_names(fake_deployment):
     proxy = wire.RemoteResolver(cfg.addresses["calendar"], kit.CALENDAR_RESOURCE_ID)
     resolution = proxy.resolve_name(parse_name("(today meeting moderator email)"))
     assert resolution.description == kit.string_description(cfg.users["alice"].email)
-
-    description, validity = proxy.resolve_local(parse_name("(today)").locals[0])
-    assert description.type_id == kit.TIME_PERIOD_TYPE
-    assert validity.expires_at == kit.day_bounds(fake_deployment.clock())[1]
 
 
 def test_transport_error_when_nobody_listens():
@@ -1039,3 +1036,47 @@ def test_events_payload_takes_only_canonical_hex(payload):
 )
 def test_an_address_host_holds_no_whitespace(decode, space):
     decode(f"my{space}host")
+
+
+# --- event tags: tokens only, on both ends
+
+@pytest.mark.parametrize("tag", ["", "a=b", "a b", "a\tb", "tagé", "meeting\nEVENTS 0 1 meeting"])
+def test_a_tag_that_is_not_a_token_is_refused_before_anything_is_sent(tag):
+    # nobody listens on port 1: a call that sent anything would fail to connect
+    with pytest.raises(ValueError, match="event tag must be a token"):
+        wire.query_events("127.0.0.1:1", 0, 1, tag, timeout=1)
+
+
+def test_a_smuggled_events_request_leaves_the_pool_answering_in_step(deployment):
+    address = deployment.cfg.addresses["calendar"]
+    calendar = deployment.servers["calendar"]
+    day_start, day_end = kit.day_bounds(deployment.clock())
+    assert len(wire.query_events(address, day_start, day_end, "meeting")) == 2
+    smuggled = f"meeting\nEVENTS {day_start} {day_end} meeting"
+    with pytest.raises(ValueError):
+        wire.query_events(address, day_start, day_end, smuggled)
+    assert wire.query_events(address, day_start, day_end, "nosuchtag") == []
+    assert calendar.request_count("EVENTS") == 2
+
+
+@pytest.mark.parametrize("line", ["EVENTS 0 1 a=b", "EVENTS 0 1 ", "EVENTS 0 1 a\tb"])
+def test_an_events_request_whose_tag_is_not_a_token_is_badreq(line):
+    assert _calendar_server_answer(line) == "ERR BADREQ event tag must be a token"
+
+
+# --- user records: each reply line encoded once, refused when built
+
+@pytest.mark.parametrize(
+    "record",
+    [("x@y\nOK z@w", "http://h/a/"), ("", "http://h/a/"), ("a@b", ""), ("a b@c", "h/"), ("a@b", "h/\t")],
+    ids=["smuggled-line", "empty-email", "empty-prefix", "spaced-email", "tabbed-prefix"],
+)
+def test_a_user_record_its_reply_cannot_carry_is_refused_when_the_database_is_built(record):
+    with pytest.raises(ValueError, match="user record fields must be non-empty and whitespace-free"):
+        UserDatabase(("127.0.0.1", 0), {b"\x01" * 16: record, b"\x02" * 16: ("b@x", "http://h/b/")})
+
+
+@pytest.mark.parametrize("reply", [b"OK 0 0\n", b"OK\n"])
+def test_events_reply_count_line_with_other_fields_is_a_transport_error(reply):
+    with pytest.raises(TransportError, match="malformed EVENTS response"):
+        _reply_from_peer(reply, lambda address: wire.query_events(address, 0, 1, "x", timeout=5))
