@@ -16,12 +16,19 @@ Aliases exist only in configuration; on the wire and in descriptions
 everything is identified by the 16-byte ids.  Every cross-reference must
 be defined, and malformed input is rejected with the offending line
 number.
+
+``_KEYS`` is the one table of the keys each aliased section kind takes:
+the section-header check reads its kinds, and every aliased section is
+checked from it the same way (unknown keys, then the alias, then each
+key missing or repeated, in table order) before a short block per kind
+checks the values.  ``format_config`` refuses (ConfigError) a
+configuration that ``parse_config`` would not give back from its text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import kit, wire
 from .names import NameSyntaxError, parse_resource_literal, serialize_resource_literal
@@ -99,6 +106,20 @@ class DeploymentConfig:
 
 _ROLES = ("userdb", "location", "calendar")
 
+# Each aliased section kind: the keys it takes, in the order they are
+# checked, each mapped to whether it is required; and the prefix of the
+# keys it takes any number of (an event's file.<name>), if any.
+_KEYS: dict[str, tuple[dict[str, bool], str]] = {
+    "user": ({"id": True, "email": True, "files": True}, ""),
+    "location": ({"id": True, "occupants": False}, ""),
+    "event": (
+        {"id": True, "tags": False, "moderator": True, "location": True, "start": True, "end": True},
+        "file.",
+    ),
+    "calendar": ({}, ""),
+    "initial": ({"resource": True}, ""),
+}
+
 
 def _parse_id(value: str, line: int, what: str) -> bytes:
     try:
@@ -107,28 +128,11 @@ def _parse_id(value: str, line: int, what: str) -> bytes:
         raise ConfigError(line, str(exc)) from None
 
 
-class _Section:
-    def __init__(self, kind: str, arg: str, line: int) -> None:
-        self.kind = kind
-        self.arg = arg
-        self.line = line
-        self.items: list[tuple[str, str, int]] = []
-
-    def single(self, key: str, required: bool = True) -> tuple[str, int]:
-        found = [(v, ln) for k, v, ln in self.items if k == key]
-        if not found:
-            if required:
-                raise ConfigError(self.line, f"[{self.kind} {self.arg}] is missing {key!r}".strip())
-            return "", self.line
-        if len(found) > 1:
-            raise ConfigError(found[1][1], f"duplicate key {key!r}")
-        return found[0]
-
-    def reject_unknown(self, known: tuple[str, ...], prefixes: tuple[str, ...] = ()) -> None:
-        for key, _, line in self.items:
-            if key in known or any(key.startswith(p) for p in prefixes):
-                continue
-            raise ConfigError(line, f"unknown key {key!r} in [{self.kind}] section")
+class _Section(NamedTuple):
+    kind: str
+    arg: str
+    line: int
+    items: list[tuple[str, str, int]]  # key, value, line
 
 
 def parse_config(text: str) -> DeploymentConfig:
@@ -150,12 +154,11 @@ def parse_config(text: str) -> DeploymentConfig:
             if kind == "addresses":
                 if arg:
                     raise ConfigError(lineno, "[addresses] takes no argument")
-            elif kind in ("user", "location", "event", "calendar", "initial"):
-                if not arg:
-                    raise ConfigError(lineno, f"[{kind}] needs an alias")
-            else:
+            elif kind not in _KEYS:
                 raise ConfigError(lineno, f"unknown section kind {kind!r}")
-            current = _Section(kind, arg, lineno)
+            elif not arg:
+                raise ConfigError(lineno, f"[{kind}] needs an alias")
+            current = _Section(kind, arg, lineno, [])
             sections.append(current)
             continue
         key, sep, value = line.partition("=")
@@ -167,9 +170,10 @@ def parse_config(text: str) -> DeploymentConfig:
 
     cfg = DeploymentConfig()
     calendars: list[str] = []
-    for section in sections:
-        if section.kind == "addresses":
-            for key, value, line in section.items:
+    aliases: set[tuple[str, str]] = set()
+    for kind, alias, section_line, items in sections:
+        if kind == "addresses":
+            for key, value, line in items:
                 if key not in _ROLES:
                     raise ConfigError(line, f"unknown role {key!r} (expected one of {_ROLES})")
                 if key in cfg.addresses:
@@ -179,52 +183,46 @@ def parse_config(text: str) -> DeploymentConfig:
                 except ValueError as exc:
                     raise ConfigError(line, str(exc)) from None
                 cfg.addresses[key] = value
-        elif section.kind == "user":
-            section.reject_unknown(("id", "email", "files"))
-            if section.arg in cfg.users:
-                raise ConfigError(section.line, f"duplicate user alias {section.arg!r}")
-            id_text, id_line = section.single("id")
-            email, email_line = section.single("email")
-            files, files_line = section.single("files")
+            continue
+        # Unknown keys, the alias, each key in table order, repeated
+        # prefixed keys; then the block for the kind checks the values.
+        keys, prefix = _KEYS[kind]
+        found: dict[str, tuple[str, int]] = {}
+        repeated: dict[str, int] = {}
+        for key, value, line in items:
+            if key not in keys and not (prefix and key.startswith(prefix)):
+                reason = f"unknown key {key!r} in [{kind}] section"
+                raise ConfigError(line, reason if keys else "[calendar] sections take no keys")
+            if key in found:
+                repeated.setdefault(key, line)
+            else:
+                found[key] = (value, line)
+        if (kind, alias) in aliases:
+            raise ConfigError(section_line, f"duplicate {kind} alias {alias!r}")
+        aliases.add((kind, alias))
+        for key, required in keys.items():
+            if key in repeated:
+                raise ConfigError(repeated[key], f"duplicate key {key!r}")
+            if key not in found:
+                if required:
+                    raise ConfigError(section_line, f"[{kind} {alias}] is missing {key!r}")
+                found[key] = ("", section_line)
+        for key, line in repeated.items():  # only prefixed keys are left
+            raise ConfigError(line, f"duplicate file name {key[len(prefix):]!r}")
+        if kind == "user":
+            email, email_line = found["email"]
+            files, files_line = found["files"]
             if not email or any(c.isspace() for c in email):
                 raise ConfigError(email_line, "email must be non-empty and whitespace-free")
             if not files or any(c.isspace() for c in files):
                 raise ConfigError(files_line, "files must be a whitespace-free URL prefix")
-            cfg.users[section.arg] = UserRecord(
-                section.arg, _parse_id(id_text, id_line, "user id"), email, files
+            cfg.users[alias] = UserRecord(alias, _parse_id(*found["id"], "user id"), email, files)
+        elif kind == "location":
+            cfg.locations[alias] = LocationRecord(
+                alias, _parse_id(*found["id"], "location id"), tuple(found["occupants"][0].split())
             )
-        elif section.kind == "location":
-            section.reject_unknown(("id", "occupants"))
-            if section.arg in cfg.locations:
-                raise ConfigError(section.line, f"duplicate location alias {section.arg!r}")
-            id_text, id_line = section.single("id")
-            occupants_text, _ = section.single("occupants", required=False)
-            occupants = tuple(occupants_text.split())
-            cfg.locations[section.arg] = LocationRecord(
-                section.arg, _parse_id(id_text, id_line, "location id"), occupants
-            )
-        elif section.kind == "event":
-            section.reject_unknown(
-                ("id", "tags", "moderator", "location", "start", "end"), prefixes=("file.",)
-            )
-            if section.arg in cfg.events:
-                raise ConfigError(section.line, f"duplicate event alias {section.arg!r}")
-            id_text, id_line = section.single("id")
-            tags_text, _ = section.single("tags", required=False)
-            moderator, _ = section.single("moderator")
-            location, _ = section.single("location")
-            start_text, start_line = section.single("start")
-            end_text, end_line = section.single("end")
-            files: list[tuple[str, str]] = []
-            seen_files: set[str] = set()
-            for key, value, line in section.items:
-                if not key.startswith("file."):
-                    continue
-                name = key[5:]
-                if name in seen_files:
-                    raise ConfigError(line, f"duplicate file name {name!r}")
-                seen_files.add(name)
-                files.append((name, value))
+        elif kind == "event":
+            (start_text, start_line), (end_text, end_line) = found["start"], found["end"]
             try:
                 start = wire.parse_int(start_text, signed=True)
                 end = wire.parse_int(end_text, signed=True)
@@ -232,29 +230,22 @@ def parse_config(text: str) -> DeploymentConfig:
                 raise ConfigError(start_line, "start and end must be integer milliseconds") from None
             if start >= end:
                 raise ConfigError(end_line, "event start must precede end")
-            cfg.events[section.arg] = EventRecord(
-                section.arg,
-                _parse_id(id_text, id_line, "event id"),
-                tuple(tags_text.split()),
-                moderator,
-                location,
-                tuple(files),
+            cfg.events[alias] = EventRecord(
+                alias,
+                _parse_id(*found["id"], "event id"),
+                tuple(found["tags"][0].split()),
+                found["moderator"][0],
+                found["location"][0],
+                tuple((key[len(prefix):], v) for key, (v, _) in found.items() if key not in keys),
                 start,
                 end,
             )
-        elif section.kind == "calendar":
-            if section.items:
-                raise ConfigError(section.items[0][2], "[calendar] sections take no keys")
-            if section.arg in calendars:
-                raise ConfigError(section.line, f"duplicate calendar alias {section.arg!r}")
-            calendars.append(section.arg)
-        elif section.kind == "initial":
-            section.reject_unknown(("resource",))
-            if section.arg in cfg.initials:
-                raise ConfigError(section.line, f"duplicate initial alias {section.arg!r}")
-            literal, line = section.single("resource")
+        elif kind == "calendar":
+            calendars.append(alias)
+        elif kind == "initial":
+            literal, line = found["resource"]
             try:
-                cfg.initials[section.arg] = parse_resource_literal(literal)
+                cfg.initials[alias] = parse_resource_literal(literal)
             except NameSyntaxError as exc:
                 raise ConfigError(line, f"bad resource literal: {exc}") from None
     cfg.calendars = tuple(calendars)
@@ -310,6 +301,8 @@ def load_config(path: str) -> DeploymentConfig:
 
 
 def format_config(cfg: DeploymentConfig) -> str:
+    """The text of `cfg`, refusing (ConfigError) a configuration that
+    parse_config would not give back from it."""
     out = ["[addresses]"]
     for role in _ROLES:
         if role in cfg.addresses:
@@ -344,7 +337,14 @@ def format_config(cfg: DeploymentConfig) -> str:
         out += ["", f"[calendar {calendar}]"]
     for alias, description in cfg.initials.items():
         out += ["", f"[initial {alias}]", f"resource = {serialize_resource_literal(description)}"]
-    return "\n".join(out) + "\n"
+    text = "\n".join(out) + "\n"
+    try:
+        same = parse_config(text) == cfg
+    except ConfigError as exc:
+        raise ConfigError(None, f"the text written would not load back: {exc}") from None
+    if not same:
+        raise ConfigError(None, "the text written would load back as a different configuration")
+    return text
 
 
 def demo_deployment(addresses: dict[str, str], now: int) -> DeploymentConfig:

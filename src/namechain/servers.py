@@ -27,7 +27,9 @@ handler reads and answers through ``wire.LineConnection``: one recv()
 per read and one send per answer on a blocking socket, which the kernel
 sheds after 60 s without a request (``_LineHandler.timeout``).  A line
 over ``wire.MAX_LINE_BYTES`` or not UTF-8 gets BADREQ, then the
-connection closes.
+connection closes.  A reply line over it is never sent: ``process_line``
+answers ``ERR INTERNAL reply too long`` instead, and the connection
+stays open.
 
 A server that resolves builds the context of each resource it hosts
 once, when it is built; a RESOLVE only looks it up.  Those initial
@@ -139,7 +141,7 @@ class RoleServer(socketserver.ThreadingTCPServer):
         try:
             if handler is None:
                 raise ValueError(f"unsupported verb {verb or '?'}")
-            return handler(rest)
+            return wire.bounded_lines(handler(rest))
         except wire.REPORTED_ERRORS as exc:
             return [wire.error_reply(exc)]
 

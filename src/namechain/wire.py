@@ -1,11 +1,12 @@
 """Line-oriented wire protocol for remote resolution and record fetch.
 
 Every request and every response is a single UTF-8 line of at most
-64 KiB, terminated by one LF, with fields separated by single spaces and
-binary payloads hex-encoded in lowercase pairs.  An empty binary field is
-written as ``-``; ``unhex_field`` takes nothing else (no upper case, no
-spaces, no empty field).  An address is ``host:port`` with no whitespace
-in the host.
+64 KiB (``MAX_LINE_BYTES``, which ``bounded_lines`` checks on every line
+either end writes), terminated by one LF, with fields separated by
+single spaces and binary payloads hex-encoded in lowercase pairs.  An
+empty binary field is written as ``-``; ``unhex_field`` takes nothing
+else (no upper case, no spaces, no empty field).  An address is
+``host:port`` with no whitespace in the host.
 
 Verbs:
 
@@ -46,8 +47,12 @@ client-side error; the codes, with what the detail carries:
     NOTFOUND <id>         NotBoundError: a handler raised NotFound, as
                           there is no such record or resource
     BADREQ <reason>       TransportError: a malformed request or name
-    INTERNAL <reason>     TransportError: an upstream failure or a bad
-                          stored specification
+    INTERNAL <reason>     TransportError: an upstream failure, a bad
+                          stored specification, or "reply too long": a
+                          reply over MAX_LINE_BYTES (LineTooLong)
+
+A detail is cut to its first 1024 characters, so an ERR line that echoes
+a request stays far under the bound.
 
 Integer fields are ASCII decimal digits without a leading zero, with one
 leading ``-`` only on instants (``parse_int``); ``+``, ``-0``, separators
@@ -88,6 +93,8 @@ from .resolver import (
 from .resources import ResourceDescription, TYPE_ID_LENGTH, derive_type_id
 
 MAX_LINE_BYTES = 65536
+_FITS_ANY_CHARS = MAX_LINE_BYTES // 4  # UTF-8 takes at most 4 bytes a code point
+_MAX_DETAIL_CHARS = 1024  # an ERR line's detail, so no ERR line nears MAX_LINE_BYTES
 DEFAULT_TIMEOUT = 5.0
 ENTITY_ID_LENGTH = 16
 _MAX_IDLE_PER_ADDRESS = 4  # pooled idle connections kept per peer
@@ -278,8 +285,21 @@ class NotFound(LookupError):
     """A server holds nothing under the id a request names."""
 
 
+class LineTooLong(Exception):
+    """A line to be written is over MAX_LINE_BYTES."""
+
+
+def bounded_lines(lines: list[str]) -> list[str]:
+    """`lines`, if none is over MAX_LINE_BYTES when encoded: the bound on
+    every line either end writes.  Raises LineTooLong otherwise."""
+    for line in lines:
+        if len(line) > _FITS_ANY_CHARS and len(line.encode("utf-8")) > MAX_LINE_BYTES:
+            raise LineTooLong("line too long")
+    return lines
+
+
 def error_line(code: str, detail: str = "") -> str:
-    detail = " ".join(detail.split()) or "-"
+    detail = " ".join(detail[:_MAX_DETAIL_CHARS].split()) or "-"
     return f"ERR {code} {detail}"
 
 
@@ -293,6 +313,7 @@ _ERR_REPLIES: tuple[tuple[type[Exception], str, Callable[[Any], str]], ...] = (
     (NotFound, "NOTFOUND", str),
     (TransportError, "INTERNAL", lambda exc: f"upstream failure: {exc.detail}"),
     (MalformedSpecError, "INTERNAL", lambda exc: f"malformed specification: {exc.reason}"),
+    (LineTooLong, "INTERNAL", lambda exc: "reply too long"),
     (ValueError, "BADREQ", str),
 )
 REPORTED_ERRORS = tuple(cls for cls, _, _ in _ERR_REPLIES)
@@ -490,9 +511,11 @@ def _roundtrip(
     extra_count: Optional[Callable[[list[str]], int]] = None,
 ) -> tuple[list[str], list[str]]:
     """Send one request line; return (first response fields, extra lines)."""
+    try:
+        bounded_lines([request])
+    except LineTooLong as exc:
+        raise TransportError(f"request {exc}") from None
     payload = (request + "\n").encode("utf-8")
-    if len(payload) > MAX_LINE_BYTES + 1:
-        raise TransportError("request line too long")
     for attempt in (0, 1):
         conn, reused = _pool.acquire(address, timeout)
         fields: Optional[list[str]] = None

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -261,3 +262,62 @@ def test_config_addresses_refuse_port_0():
 
 def test_config_address_host_holds_no_whitespace():
     _expect_error(MINIMAL.replace("userdb = 127.0.0.1", "userdb = my host"), 2, "whitespace-free")
+
+
+_DEMO = demo_deployment(ADDRESSES, NOW)
+_ALICE, _ROOM102, _REVIEW = _DEMO.users["alice"], _DEMO.locations["room102"], _DEMO.events["review"]
+_MALLORY = "alice]\n[user mallory"
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"users": {**_DEMO.users, "alice": replace(_ALICE, email="alice@example.org ")}},
+        {"events": {**_DEMO.events, "review": replace(_REVIEW, tags=("a b",))}},
+        {"users": {**_DEMO.users, _MALLORY: replace(_ALICE, alias=_MALLORY)}},
+        {"addresses": {**ADDRESSES, "userdb": "127.0.0.1:46001\nbogus"}},
+        {"locations": {**_DEMO.locations, "room102": replace(_ROOM102, occupants=("alice bob",))}},
+        {"events": {**_DEMO.events, "review": replace(_REVIEW, files=(("a.txt", "http://h/a\nb"),))}},
+    ],
+    ids=["email-trailing-space", "tag-with-space", "alias-with-header", "address-with-lf",
+         "occupant-with-space", "file-url-with-lf"],
+)
+def test_format_config_refuses_what_parse_config_would_not_give_back(changes):
+    with pytest.raises(ConfigError) as excinfo:
+        format_config(replace(_DEMO, **changes))
+    assert excinfo.value.line is None
+    assert "would not load back: line " in str(excinfo.value) or (
+        "would load back as a different configuration" in str(excinfo.value)
+    )
+
+
+_ID0, _ID1 = "00" * 16, "11" * 16
+_EVENT = f"[event e]\nid = {_ID1}\nmoderator = u\nlocation = l\nstart = 1\nend = 2\n"
+
+
+# Each aliased section is checked the same way: unknown keys, then the
+# alias, then each key of its kind missing or repeated, in the order the
+# kind lists them, then repeated file.<name> keys.
+@pytest.mark.parametrize(
+    "sections,line,message",
+    [
+        (f"[location l]\nid = {_ID0}\n[location l]\nid = {_ID1}\nx = 1\n", 9, "unknown key 'x' in [location]"),
+        (f"[location l]\nid = {_ID0}\n[location l]\n", 7, "duplicate location alias 'l'"),
+        ("[user u]\nemail = a@b\nemail = c@d\nfiles = h/\n", 5, "[user u] is missing 'id'"),
+        (f"[user u]\nid = {_ID0}\nid = {_ID1}\nfiles = h/\n", 7, "duplicate key 'id'"),
+        (_EVENT.replace("end = 2\n", "file.a = h/1\nfile.a = h/2\n"), 5, "[event e] is missing 'end'"),
+        (_EVENT + "file.a = h/1\nfile.b = h/2\nfile.b = h/3\nfile.a = h/4\n", 13, "duplicate file name 'b'"),
+        ("[calendar c]\n[calendar c]\nx = 1\n", 7, "[calendar] sections take no keys"),
+        ("[initial i]\nresource = [zz]\nresource = [yy]\n", 7, "duplicate key 'resource'"),
+    ],
+    ids=["unknown-key-before-alias", "alias-before-keys", "keys-in-table-order", "repeated-key",
+         "table-keys-before-file-names", "file-names-in-line-order", "calendar", "initial"],
+)
+def test_section_checks_run_in_one_order_for_every_kind(sections, line, message):
+    _expect_error(MINIMAL + sections, line, message)
+
+
+def test_event_file_keys_keep_their_order():
+    text = MINIMAL + f"[user u]\nid = {_ID0}\nemail = u@x\nfiles = h/\n[location l]\nid = {'22' * 16}\n"
+    text += _EVENT + "file.z = h/z\nfile.a = h/a\n"
+    assert parse_config(text).events["e"].files == (("z", "h/z"), ("a", "h/a"))

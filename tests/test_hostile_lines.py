@@ -100,6 +100,7 @@ def _hostile_requests(draw, seeds):
 
 def _check_answer(line, answer):
     assert answer and all("\n" not in part for part in answer), answer
+    assert all(len(part.encode("utf-8")) <= wire.MAX_LINE_BYTES for part in answer), answer[0][:80]
     first = answer[0]
     if first.startswith("ERR "):
         code = first.split(" ")[1]

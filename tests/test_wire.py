@@ -49,6 +49,7 @@ def test_resolution_wire_encoding_round_trip(type_id, spec, expires_at):
 def test_error_line_flattens_detail():
     assert wire.error_line("NOTFOUND") == "ERR NOTFOUND -"
     assert wire.error_line("BADREQ", "two\nlines  here") == "ERR BADREQ two lines here"
+    assert wire.error_line("BADREQ", "x" * wire.MAX_LINE_BYTES) == "ERR BADREQ " + "x" * 1024
 
 
 @pytest.mark.parametrize(
@@ -79,6 +80,7 @@ REPORTED_FAILURES = [
     (wire.NotFound("ee" * 16), "NOTFOUND", NotBoundError, ("local", "ee" * 16)),
     (TransportError("connection refused"), "INTERNAL", TransportError, None),
     (MalformedSpecError(kit.EVENT_TYPE, "bad start"), "INTERNAL", TransportError, None),
+    (wire.LineTooLong("line too long"), "INTERNAL", TransportError, None),
     (ValueError("location id must be 32 lowercase hex digits"), "BADREQ", TransportError, None),
 ]
 
@@ -718,6 +720,48 @@ def test_request_line_bound_on_the_client(extra):
             assert peer.lines == [request.encode() + b"\n"]
     finally:
         peer.close()
+
+
+def _files_request(deployment, file_name):
+    room = deployment.cfg.locations["room101"].location_id.hex()
+    return f"RESOLVE {room} (occupant files {file_name})"
+
+
+def test_reply_over_the_line_bound_is_refused_through_resolve(deployment):
+    # The file spec holds the 40 KB name, and its hex doubles it: 80 KB.
+    registry = kit.build_registry()
+    ctx = ResolveContext(registry=registry, initial=registry.instantiate(deployment.cfg.initials["location"]))
+    with pytest.raises(TransportError, match="reply too long"):
+        resolve(ctx, parse_name(f"(occupant files {'a' * 40_000})"))
+
+
+def test_connection_is_answered_after_a_reply_over_the_line_bound(deployment):
+    room = deployment.cfg.locations["room101"]
+    alice = deployment.cfg.users["alice"].user_id
+    host, port = wire.parse_address(deployment.cfg.addresses["location"])
+    with socket.create_connection((host, port), timeout=5) as sock, sock.makefile("rb") as replies:
+        sock.sendall(_files_request(deployment, "a" * 40_000).encode() + b"\n")
+        assert replies.readline() == b"ERR INTERNAL reply too long\n"
+        sock.sendall(f"OCCUPANCY {room.location_id.hex()}\n".encode())
+        assert replies.readline() == f"OK 1 {alice.hex()}\n".encode()
+
+
+def test_reply_bound_is_max_line_bytes(fake_deployment):
+    location = fake_deployment.servers["location"]
+    (reply,) = location.process_line(_files_request(fake_deployment, "a"))
+    # Each byte more of the name adds two hex digits to the reply.
+    longest = 1 + (wire.MAX_LINE_BYTES - len(reply)) // 2
+    (reply,) = location.process_line(_files_request(fake_deployment, "a" * longest))
+    assert reply.startswith("OK ") and len(reply) > wire.MAX_LINE_BYTES - 2
+    assert location.process_line(_files_request(fake_deployment, "a" * (longest + 1))) == [
+        "ERR INTERNAL reply too long"
+    ]
+
+
+def test_overlong_verb_gets_a_badreq_line_under_the_bound(deployment):
+    response = _raw_request(deployment.cfg.addresses["calendar"], b"X" * wire.MAX_LINE_BYTES + b"\n")
+    assert response.startswith(b"ERR BADREQ unsupported verb XXX")
+    assert response.count(b"\n") == 1 and len(response) <= 2048
 
 
 @pytest.mark.parametrize(
