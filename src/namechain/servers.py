@@ -31,6 +31,13 @@ connection closes.  A reply line over it is never sent: ``process_line``
 answers ``ERR INTERNAL reply too long`` instead, and the connection
 stays open.
 
+``RoleServer.answer`` gives the lines one request line gets, to a
+connection's handler and, from when the server is bound until it is
+closed, to the other servers of this process: a request a server sends
+while answering, to one of them, is a call to its ``answer`` in the same
+thread (see ``wire``), with the same lines, counters and ERR codes, no
+timeout, and at most ``resolver.DEFAULT_MAX_DEPTH`` of them nested.
+
 A server that resolves builds the context of each resource it hosts
 once, when it is built; a RESOLVE only looks it up.  Those initial
 resolvers hold no per-request state and read occupancy when they run.
@@ -84,12 +91,7 @@ class _LineHandler(socketserver.BaseRequestHandler):
                 return
             except OSError:  # EOF, reset, or idle past the timeout
                 return
-            try:
-                responses = server.process_line(line)
-            except Exception:  # defensive: never kill the connection loop
-                log.exception("unhandled error processing %r", line)
-                responses = [wire.error_line("INTERNAL", "unhandled error")]
-            if not self._reply(conn, responses):
+            if not self._reply(conn, server.answer(line)):
                 return
 
     @staticmethod
@@ -116,6 +118,11 @@ class RoleServer(socketserver.ThreadingTCPServer):
         self._stats_lock = threading.Lock()
         self._state_lock = threading.RLock()
         self._handlers = self._verbs()
+        wire.host(self.address, self.answer)
+
+    def server_close(self) -> None:
+        wire.unhost(self.answer)
+        super().server_close()
 
     @property
     def address(self) -> str:
@@ -130,6 +137,18 @@ class RoleServer(socketserver.ThreadingTCPServer):
 
     def _verbs(self) -> dict[str, Callable[[str], list[str]]]:
         raise NotImplementedError
+
+    def answer(self, line: str) -> list[str]:
+        """The lines `line` gets, whether it came over a connection or from
+        a server of this process in the midst of its own answer."""
+        wire.answering.depth += 1
+        try:
+            return self.process_line(line)
+        except Exception:  # defensive: answered, never raised into the caller
+            log.exception("unhandled error processing %r", line)
+            return [wire.error_line("INTERNAL", "unhandled error")]
+        finally:
+            wire.answering.depth -= 1
 
     def process_line(self, line: str) -> list[str]:
         verb, _, rest = line.partition(" ")
@@ -252,6 +271,7 @@ class CalendarServer(RoleServer):
         # Ordered once, as every query answers them; no verb writes events.
         self.events = sorted(events, key=lambda ev: (ev.fields.start, ev.event_id, ev.spec))
         self.advertised = advertised or self.address
+        wire.host(self.advertised, self.answer)
         # Time periods minted by this calendar point back at it; resolve
         # them against local state instead of a loopback wire call, from
         # the fields the events were stored with.

@@ -69,6 +69,14 @@ and then waits at most that long on each send and receive; a server sheds
 a connection idle for 60 s.  A call the bound cuts short fails with EAGAIN,
 reported as "timed out".  ``LineConnection`` is the one line reader and
 writer of both ends.
+
+Servers in one process answer each other without a socket: each hosts
+its answer function here (``host``), and a request sent while answering
+(``answering.depth`` > 0) to a hosted address is a call to it, in the
+calling thread.  Its lines, the server's counters and its ERR codes are
+those a connection carries, and its reply is decoded as one read from a
+socket; it has no timeout.  More than DEFAULT_MAX_DEPTH such calls
+nested on one thread raise DepthExceededError.
 """
 
 from __future__ import annotations
@@ -82,6 +90,7 @@ from typing import Any, Callable, Optional
 
 from .names import _TOKEN_RE, Name, NameSyntaxError, _build, parse_name, serialize_name
 from .resolver import (
+    DEFAULT_MAX_DEPTH,
     DepthExceededError,
     MalformedSpecError,
     NotBoundError,
@@ -504,17 +513,70 @@ def close_idle_connections() -> None:
     _pool.close_all()
 
 
+# --- servers in this process
+
+class _Answering(threading.local):
+    depth = 0  # RoleServer.answer calls running on this thread, nested
+
+
+# Set by RoleServer.answer, read by _roundtrip.
+answering = _Answering()
+# RoleServer.answer: the lines one request line gets.
+Answer = Callable[[str], list[str]]
+# The answer function of each server in this process, by each address it
+# is reached at, from when it is bound until it is closed.
+_answers: dict[str, Answer] = {}
+_answers_lock = threading.Lock()
+
+
+def host(address: str, answer: Answer) -> None:
+    """Answer requests a server in this process sends to `address` by
+    calling `answer`."""
+    with _answers_lock:
+        _answers[address] = answer
+
+
+def unhost(answer: Answer) -> None:
+    """Forget every address `answer` was hosted at."""
+    with _answers_lock:
+        for address in [a for a, hosted in _answers.items() if hosted == answer]:
+            del _answers[address]
+
+
+def _call_answer(
+    answer: Answer, request: str, extra_count: Optional[Callable[[list[str]], int]]
+) -> tuple[list[str], list[str]]:
+    """_roundtrip to a server in this process: its answer to `request`,
+    decoded as a reply read from a socket is."""
+    if answering.depth > DEFAULT_MAX_DEPTH:
+        raise DepthExceededError(DEFAULT_MAX_DEPTH)
+    first, *extras = answer(request)
+    fields = first.split(" ")
+    expected = extra_count(fields) if fields[0] == "OK" and extra_count is not None else 0
+    if len(extras) != expected:
+        raise TransportError(f"response has {len(extras)} lines after the first, expected {expected}")
+    return fields, extras
+
+
 def _roundtrip(
     address: str,
     request: str,
     timeout: float,
     extra_count: Optional[Callable[[list[str]], int]] = None,
 ) -> tuple[list[str], list[str]]:
-    """Send one request line; return (first response fields, extra lines)."""
+    """Send one request line; return (first response fields, extra lines).
+
+    A request a server sends while answering, to a server in this process,
+    is a call to that server's answer function instead (see _call_answer).
+    """
     try:
         bounded_lines([request])
     except LineTooLong as exc:
         raise TransportError(f"request {exc}") from None
+    if answering.depth:
+        answer = _answers.get(address)
+        if answer is not None:
+            return _call_answer(answer, request, extra_count)
     payload = (request + "\n").encode("utf-8")
     for attempt in (0, 1):
         conn, reused = _pool.acquire(address, timeout)

@@ -263,6 +263,7 @@ def test_deploy_subprocess_serves_all_roles(tmp_path):
             assert proc.wait(timeout=10) == 0
         except subprocess.TimeoutExpired:  # pragma: no cover
             proc.kill()
+            proc.wait(timeout=10)
             raise
 
 
@@ -297,6 +298,7 @@ def test_serve_single_role_subprocess(tmp_path):
             assert proc.wait(timeout=10) == 0
         except subprocess.TimeoutExpired:  # pragma: no cover
             proc.kill()
+            proc.wait(timeout=10)
             raise
 
 
@@ -333,6 +335,7 @@ def test_serve_on_port_0_prints_the_address_it_serves_at(tmp_path):
             assert proc.wait(timeout=10) == 0
         except subprocess.TimeoutExpired:  # pragma: no cover
             proc.kill()
+            proc.wait(timeout=10)
             raise
         finally:
             proc.stdout.close()
