@@ -37,6 +37,12 @@ closed, to the other servers of this process: a request a server sends
 while answering, to one of them, is a call to its ``answer`` in the same
 thread (see ``wire``), with the same lines, counters and ERR codes, no
 timeout, and at most ``resolver.DEFAULT_MAX_DEPTH`` of them nested.
+A server is hosted once, under ``RoleServer.address``: the address its
+peers reach it at, which is a calendar's advertised address when it has
+one, else the host it listens at as written (``localhost`` stays
+``localhost``) with the port it got.  A role checks and builds whatever
+it can refuse before it binds, so a refused argument leaves nothing
+bound or hosted.
 
 A server that resolves builds the context of each resource it hosts
 once, when it is built; a RESOLVE only looks it up.  Those initial
@@ -112,22 +118,22 @@ class RoleServer(socketserver.ThreadingTCPServer):
     # Roles that speak RESOLVE: the resources they resolve from, by id.
     hosted: dict[bytes, ResolveContext]
 
-    def __init__(self, listen: tuple[str, int]) -> None:
+    def __init__(self, listen: tuple[str, int], advertised: Optional[str] = None) -> None:
         super().__init__(listen, _LineHandler)
+        # The one address peers reach this server at: the advertised one,
+        # else the host it listens at, as written, with the port it got.
+        self.address = advertised or wire.format_address(listen[0], self.server_address[1])
         self.stats: Counter[str] = Counter()
         self._stats_lock = threading.Lock()
-        self._state_lock = threading.RLock()
         self._handlers = self._verbs()
         wire.host(self.address, self.answer)
 
     def server_close(self) -> None:
-        wire.unhost(self.answer)
+        # The base __init__ calls this too when binding fails, before
+        # there is an address.
+        if hasattr(self, "address"):
+            wire.unhost(self.address, self.answer)
         super().server_close()
-
-    @property
-    def address(self) -> str:
-        host, port = self.server_address[0], self.server_address[1]
-        return wire.format_address(host, port)
 
     def request_count(self, verb: Optional[str] = None) -> int:
         with self._stats_lock:
@@ -209,8 +215,8 @@ class LocationManager(RoleServer):
         userdb_address: str,
         clock: Clock = system_clock,
     ) -> None:
-        super().__init__(listen)
         self.occupancy = {loc: list(users) for loc, users in occupancy.items()}
+        self._state_lock = threading.Lock()
         self.registry = kit.build_registry(clock, userdb_address)
         self.hosted = {
             location_id: ResolveContext(
@@ -220,6 +226,7 @@ class LocationManager(RoleServer):
             )
             for location_id in self.occupancy
         }
+        super().__init__(listen)
 
     def _verbs(self):
         return {
@@ -267,18 +274,18 @@ class CalendarServer(RoleServer):
         userdb_address: str,
         clock: Clock = system_clock,
     ) -> None:
-        super().__init__(listen)
+        if advertised is not None:
+            wire.parse_address(advertised)
         # Ordered once, as every query answers them; no verb writes events.
         self.events = sorted(events, key=lambda ev: (ev.fields.start, ev.event_id, ev.spec))
-        self.advertised = advertised or self.address
-        wire.host(self.advertised, self.answer)
         # Time periods minted by this calendar point back at it; resolve
         # them against local state instead of a loopback wire call, from
         # the fields the events were stored with.
         self.registry = kit.build_registry(clock, userdb_address, events_query=self._events_query)
+        super().__init__(listen, advertised)
         self.hosted = {
             kit.CALENDAR_RESOURCE_ID: ResolveContext(
-                self.registry, kit.CalendarResolver(self.advertised, clock), clock
+                self.registry, kit.CalendarResolver(self.address, clock), clock
             )
         }
 
@@ -291,7 +298,7 @@ class CalendarServer(RoleServer):
     def _events_query(
         self, address: str, start: int, end: int, tag: str
     ) -> list[tuple[bytes, Optional[kit.EventFields]]]:
-        if address == self.advertised:
+        if address == self.address:
             return [(ev.spec, ev.fields) for ev in self.query_local(start, end, tag)]
         return kit.fetch_events(address, start, end, tag)
 

@@ -71,12 +71,14 @@ reported as "timed out".  ``LineConnection`` is the one line reader and
 writer of both ends.
 
 Servers in one process answer each other without a socket: each hosts
-its answer function here (``host``), and a request sent while answering
-(``answering.depth`` > 0) to a hosted address is a call to it, in the
-calling thread.  Its lines, the server's counters and its ERR codes are
-those a connection carries, and its reply is decoded as one read from a
-socket; it has no timeout.  More than DEFAULT_MAX_DEPTH such calls
-nested on one thread raise DepthExceededError.
+its answer function here (``host``) under the one address its peers
+reach it at, as they write it, so a host name works as an IP does.  A
+request sent while answering (``answering.depth`` > 0) to a hosted
+address is a call to that answer, in the calling thread.  Its lines,
+the server's counters and its ERR codes are those a connection carries,
+and its reply is decoded as one read from a socket; it has no timeout.
+More than DEFAULT_MAX_DEPTH such calls nested on one thread raise
+DepthExceededError.
 """
 
 from __future__ import annotations
@@ -523,7 +525,7 @@ class _Answering(threading.local):
 answering = _Answering()
 # RoleServer.answer: the lines one request line gets.
 Answer = Callable[[str], list[str]]
-# The answer function of each server in this process, by each address it
+# The answer function of each server in this process, by the address it
 # is reached at, from when it is bound until it is closed.
 _answers: dict[str, Answer] = {}
 _answers_lock = threading.Lock()
@@ -536,10 +538,10 @@ def host(address: str, answer: Answer) -> None:
         _answers[address] = answer
 
 
-def unhost(answer: Answer) -> None:
-    """Forget every address `answer` was hosted at."""
+def unhost(address: str, answer: Answer) -> None:
+    """Forget `address`, if `answer` is what it is hosted to."""
     with _answers_lock:
-        for address in [a for a, hosted in _answers.items() if hosted == answer]:
+        if _answers.get(address) == answer:
             del _answers[address]
 
 

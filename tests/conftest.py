@@ -49,14 +49,14 @@ def free_port() -> int:
 class Deployment:
     """All three servers on loopback, plus the config describing them.
 
-    Each server is built by `serve` and binds port 0, so no port is chosen
-    before it is bound.  They start in dependency order (userdb, location,
-    calendar), each from a config holding the addresses bound before it;
-    the calendar advertises the address it bound.  The final config is
-    built from the bound addresses.
+    Each server is built by `serve` and binds port 0 at `host`, so no port
+    is chosen before it is bound.  They start in dependency order (userdb,
+    location, calendar), each from a config holding the addresses bound
+    before it.  The final config is built from the addresses the servers
+    are reached at: `host`, as written, with the port each got.
     """
 
-    def __init__(self, clock=None):
+    def __init__(self, clock=None, host="127.0.0.1"):
         self.clock = clock if clock is not None else system_clock
         now = self.clock()
         # Roles not bound yet hold a placeholder: a port, as in every address
@@ -65,7 +65,7 @@ class Deployment:
         self.servers: dict[str, RoleServer] = {}
         self.threads: list[threading.Thread] = []
         for role in addresses:
-            server = serve(role, demo_deployment(addresses, now), "127.0.0.1:0", self.clock)
+            server = serve(role, demo_deployment(addresses, now), f"{host}:0", self.clock)
             addresses[role] = server.address
             self.servers[role] = server
             self.threads.append(start_in_thread(server))

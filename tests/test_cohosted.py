@@ -8,6 +8,7 @@ one thread.
 """
 
 import dataclasses
+import gc
 import socket
 import sys
 import threading
@@ -82,6 +83,52 @@ def test_a_cohosted_hop_opens_no_connection_and_is_counted(deployment, monkeypat
     assert (first.request_count(), peer.request_count()) == (before[0] + 5, before[1] + 5)
 
 
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_roles_named_by_a_host_name_answer_each_other_in_process(monkeypatch, scenario):
+    dep = Deployment(host="localhost")
+    try:
+        addresses = set(dep.cfg.addresses.values())
+        assert all(address.startswith("localhost:") for address in addresses)
+        assert set(wire._answers) == addresses
+        first, peer = (dep.servers[role] for role in HOPS[scenario])
+        before = first.request_count(), peer.request_count()
+        wire.close_idle_connections()
+        connections = ConnectionCounter(monkeypatch)
+        resolve_scenario(dep.cfg, scenario, clock=dep.clock)
+        assert connections.count == 1  # the client's, to the first server
+        assert (first.request_count(), peer.request_count()) == (before[0] + 1, before[1] + 1)
+    finally:
+        dep.shutdown()
+    assert not wire._answers
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: servers.LocationManager(("127.0.0.1", 0), {bytes(16): []}, "no port"),
+        lambda: servers.CalendarServer(("127.0.0.1", 0), [], None, "no port"),
+        lambda: servers.CalendarServer(("127.0.0.1", 0), [], "bad advertised", "127.0.0.1:1"),
+    ],
+    ids=["location-userdb", "calendar-userdb", "calendar-advertised"],
+)
+def test_a_refused_argument_leaves_nothing_bound_or_hosted(build):
+    hosted = dict(wire._answers)
+    with pytest.raises(ValueError):
+        build()
+    gc.collect()  # a socket left open warns here, and the warning fails the test
+    assert wire._answers == hosted
+
+
+def test_a_server_that_cannot_bind_raises_its_os_error():
+    hosted = dict(wire._answers)
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        with pytest.raises(OSError):
+            servers.UserDatabase(taken.getsockname(), {})
+    assert wire._answers == hosted
+
+
 def test_a_closed_server_leaves_no_address_behind():
     dep = Deployment()
     addresses = set(dep.cfg.addresses.values())
@@ -95,10 +142,10 @@ def test_a_time_period_of_another_cohosted_calendar_is_asked_in_process(deployme
     # would go unanswered and time out.
     other = servers.serve("calendar", deployment.cfg, "127.0.0.1:0", deployment.clock)
     try:
-        assert other.advertised != deployment.cfg.addresses["calendar"]
+        assert other.address != deployment.cfg.addresses["calendar"]
         (minted,) = other.answer(f"RESOLVE {kit.CALENDAR_RESOURCE_ID.hex()} (today)")
         other_today = wire.parse_ok_resolution(minted.split(" ")).description
-        assert kit.parse_time_period_spec(other_today.spec)[0] == other.advertised
+        assert kit.parse_time_period_spec(other_today.spec)[0] == other.address
         locate_events_at(deployment.servers["calendar"], other_today)
         wire.close_idle_connections()
         connections = ConnectionCounter(monkeypatch)
@@ -136,7 +183,7 @@ def test_an_in_process_reply_must_have_the_lines_it_says(monkeypatch, call, repl
         with pytest.raises(TransportError):
             call(address)
     finally:
-        wire.unhost(answer)
+        wire.unhost(address, answer)
     assert len(answers) == 1
     assert address not in wire._answers
 
@@ -152,7 +199,7 @@ def test_an_in_process_reply_with_its_lines_decodes(monkeypatch):
     try:
         assert wire.query_events(address, 0, 1, "meeting") == [b"", b"\x00\xff"]
     finally:
-        wire.unhost(answer)
+        wire.unhost(address, answer)
 
 
 def test_nested_cohosted_hops_are_bounded():
@@ -162,7 +209,7 @@ def test_nested_cohosted_hops_are_bounded():
     dep = Deployment()
     try:
         calendar = dep.servers["calendar"]
-        here = kit.calendar_description(calendar.advertised)
+        here = kit.calendar_description(calendar.address)
         locate_events_at(calendar, here)
         ctx = calendar_context(dep)
         start = threading.active_count()

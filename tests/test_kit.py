@@ -755,7 +755,7 @@ def _remote_period_context(fake_deployment, monkeypatch, spec):
     """A period on another calendar, resolved by the deployment's calendar server."""
     calendar = fake_deployment.servers["calendar"]
     other = "127.0.0.1:7003"
-    assert other != calendar.advertised
+    assert other != calendar.address
     asked = []
 
     def query_events(address, start, end, tag, timeout=wire.DEFAULT_TIMEOUT):

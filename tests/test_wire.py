@@ -427,8 +427,13 @@ def test_only_a_listen_address_takes_port_0(deployment):
     calendar = serve("calendar", deployment.cfg, listen="127.0.0.1:0", clock=deployment.clock)
     try:
         assert calendar.server_address[1] != 0
-        # it advertises the port it got, not the configured one
-        assert calendar.advertised == calendar.address != deployment.cfg.addresses["calendar"]
+        # it is reached at the port it got, not the configured one, and
+        # the time periods it mints say so
+        assert calendar.address == f"127.0.0.1:{calendar.server_address[1]}"
+        assert calendar.address != deployment.cfg.addresses["calendar"]
+        (minted,) = calendar.answer(f"RESOLVE {kit.CALENDAR_RESOURCE_ID.hex()} (today)")
+        today = wire.parse_ok_resolution(minted.split(" ")).description
+        assert kit.parse_time_period_spec(today.spec)[0] == calendar.address
     finally:
         calendar.server_close()
 
