@@ -66,12 +66,11 @@ def resolve_scenario(
     clock: Clock = system_clock,
     registry: Optional[TypeRegistry] = None,
     cache: Optional[NameCache] = None,
-    timeout: float = wire.DEFAULT_TIMEOUT,
 ) -> Resolution:
     """Resolve a scenario name through the naming system."""
     spec = SCENARIOS[scenario]
     if registry is None:
-        registry = kit.build_registry(clock, cfg.addresses["userdb"], timeout=timeout)
+        registry = kit.build_registry(clock, cfg.addresses["userdb"])
     initial_desc = cfg.initial_description(spec.initial_alias)
     initial = registry.instantiate(initial_desc)
     if initial is None:
@@ -158,7 +157,7 @@ def run_bench(
         raise ValueError("iterations must be positive")
     registry = kit.build_registry(clock, cfg.addresses["userdb"], timeout=timeout)
 
-    resolved = resolve_scenario(cfg, scenario, clock=clock, registry=registry, timeout=timeout)
+    resolved = resolve_scenario(cfg, scenario, clock=clock, registry=registry)
     manual = manual_discover(cfg, scenario, clock=clock, timeout=timeout)
     if resolved.description.to_bytes() != manual.to_bytes():
         raise ModeDisagreement(
@@ -174,7 +173,7 @@ def run_bench(
         t0 = time.perf_counter_ns()
         if mode == "nun":
             description = resolve_scenario(
-                cfg, scenario, clock=clock, registry=registry, cache=cache, timeout=timeout
+                cfg, scenario, clock=clock, registry=registry, cache=cache
             ).description
         else:
             description = manual_discover(cfg, scenario, clock=clock, timeout=timeout)

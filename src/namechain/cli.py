@@ -44,6 +44,15 @@ def _positive(
 _TIMEOUT = _positive(float, f"seconds in (0, {threading.TIMEOUT_MAX:.0f}]", threading.TIMEOUT_MAX)
 
 
+def _listen_address(text: str) -> str:
+    """An argparse type: an address wire.parse_listen_address takes."""
+    try:
+        wire.parse_listen_address(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="namechain",
@@ -60,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run one server role in the foreground")
     p.add_argument("--role", required=True, choices=("userdb", "location", "calendar"))
     p.add_argument("--config", required=True)
-    p.add_argument("--listen", help="host:port override (default: the role's configured address)")
+    p.add_argument("--listen", type=_listen_address, help="host:port (default: the role's address)")
 
     p = sub.add_parser("deploy", help="run all three server roles in one process")
     p.add_argument("--config", required=True)

@@ -34,6 +34,7 @@ there instead of having the registry decode the same bytes again.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Protocol
@@ -187,8 +188,9 @@ class ResolveContext:
     """Everything one top-level resolve call needs.
 
     max_depth caps the total number of single-step resolutions (local or
-    delegated) performed on behalf of one call, attribute resolution
-    included, so resolution terminates even on cyclic name graphs.
+    delegated) performed for one request on this thread, attribute
+    resolution and co-hosted hops included, so resolution terminates even
+    on cyclic name graphs.
     """
 
     registry: TypeRegistry
@@ -208,6 +210,16 @@ class _Budget:
         if self.remaining <= 0:
             raise DepthExceededError(self.limit)
         self.remaining -= 1
+
+
+class _Scope(threading.local):
+    budget: Optional[_Budget] = None  # of the resolution running on this thread
+    answering = 0  # RoleServer.answer calls running on this thread, nested
+
+
+# The request this thread runs: set by resolve() and RoleServer.answer,
+# read by resolve() and wire._roundtrip.
+scope = _Scope()
 
 
 def _literalize(
@@ -299,12 +311,20 @@ def _walk(
 def resolve(ctx: ResolveContext, name: Name) -> Resolution:
     """Resolve a name relative to the context's initial resource.
 
+    One budget of ctx.max_depth steps bounds one request on this thread,
+    co-hosted hops included: a call made while a resolution runs on this
+    thread (a server answering a co-hosted hop) spends that one's budget.
+
     Every failure is a ResolutionError: NotBoundError, UnknownTypeError,
     DepthExceededError, TransportError or MalformedSpecError (a spec its
     type's code refused), carrying the chain step (0-based) it occurred at.
     """
-    budget = _Budget(ctx.max_depth)
-    validity = None
-    if getattr(ctx.initial, "resolve_name", None) is None:
-        name, validity = _literalize(ctx, name, budget)
-    return _walk(ctx, name, validity, budget)
+    outer = scope.budget
+    scope.budget = budget = outer if outer is not None else _Budget(ctx.max_depth)
+    try:
+        validity = None
+        if getattr(ctx.initial, "resolve_name", None) is None:
+            name, validity = _literalize(ctx, name, budget)
+        return _walk(ctx, name, validity, budget)
+    finally:
+        scope.budget = outer

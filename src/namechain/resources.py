@@ -47,12 +47,6 @@ class ResourceDescription:
     def to_bytes(self) -> bytes:
         return self.type_id + self.spec
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ResourceDescription":
-        if len(data) < TYPE_ID_LENGTH:
-            raise ValueError("description too short to hold a type identifier")
-        return cls(data[:TYPE_ID_LENGTH], data[TYPE_ID_LENGTH:])
-
 
 ResolverFactory = Callable[[bytes], "Resolver"]
 

@@ -35,8 +35,9 @@ stays open.
 connection's handler and, from when the server is bound until it is
 closed, to the other servers of this process: a request a server sends
 while answering, to one of them, is a call to its ``answer`` in the same
-thread (see ``wire``), with the same lines, counters and ERR codes, no
-timeout, and at most ``resolver.DEFAULT_MAX_DEPTH`` of them nested.
+thread (see ``wire``), with the same lines, counters and ERR codes and
+no timeout.  A RESOLVE answered so spends its caller's step budget
+(``resolver.scope``); one that came over a connection opens a fresh one.
 A server is hosted once, under ``RoleServer.address``: the address its
 peers reach it at, which is a calendar's advertised address when it has
 one, else the host it listens at as written (``localhost`` stays
@@ -60,7 +61,7 @@ from typing import Callable, Optional
 
 from . import kit, wire
 from .config import DeploymentConfig
-from .resolver import Clock, ResolveContext, resolve, system_clock
+from .resolver import Clock, ResolveContext, resolve, scope, system_clock
 
 log = logging.getLogger(__name__)
 
@@ -147,14 +148,14 @@ class RoleServer(socketserver.ThreadingTCPServer):
     def answer(self, line: str) -> list[str]:
         """The lines `line` gets, whether it came over a connection or from
         a server of this process in the midst of its own answer."""
-        wire.answering.depth += 1
+        scope.answering += 1
         try:
             return self.process_line(line)
         except Exception:  # defensive: answered, never raised into the caller
             log.exception("unhandled error processing %r", line)
             return [wire.error_line("INTERNAL", "unhandled error")]
         finally:
-            wire.answering.depth -= 1
+            scope.answering -= 1
 
     def process_line(self, line: str) -> list[str]:
         verb, _, rest = line.partition(" ")

@@ -73,12 +73,13 @@ writer of both ends.
 Servers in one process answer each other without a socket: each hosts
 its answer function here (``host``) under the one address its peers
 reach it at, as they write it, so a host name works as an IP does.  A
-request sent while answering (``answering.depth`` > 0) to a hosted
-address is a call to that answer, in the calling thread.  Its lines,
-the server's counters and its ERR codes are those a connection carries,
-and its reply is decoded as one read from a socket; it has no timeout.
-More than DEFAULT_MAX_DEPTH such calls nested on one thread raise
-DepthExceededError.
+request sent while answering (``resolver.scope.answering`` > 0) to a
+hosted address is a call to that answer, in the calling thread.  Its
+lines, the server's counters and its ERR codes are those a connection
+carries, and its reply is decoded as one read from a socket; it has no
+timeout.  A co-hosted RESOLVE spends its caller's step budget, so the
+caller's limit bounds how deep such calls nest.  A request sent over a
+socket starts a fresh budget at the server.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ from typing import Any, Callable, Optional
 
 from .names import _TOKEN_RE, Name, NameSyntaxError, _build, parse_name, serialize_name
 from .resolver import (
-    DEFAULT_MAX_DEPTH,
     DepthExceededError,
     MalformedSpecError,
     NotBoundError,
@@ -100,6 +100,7 @@ from .resolver import (
     TransportError,
     UnknownTypeError,
     Validity,
+    scope,
 )
 from .resources import ResourceDescription, TYPE_ID_LENGTH, derive_type_id
 
@@ -517,12 +518,6 @@ def close_idle_connections() -> None:
 
 # --- servers in this process
 
-class _Answering(threading.local):
-    depth = 0  # RoleServer.answer calls running on this thread, nested
-
-
-# Set by RoleServer.answer, read by _roundtrip.
-answering = _Answering()
 # RoleServer.answer: the lines one request line gets.
 Answer = Callable[[str], list[str]]
 # The answer function of each server in this process, by the address it
@@ -550,8 +545,6 @@ def _call_answer(
 ) -> tuple[list[str], list[str]]:
     """_roundtrip to a server in this process: its answer to `request`,
     decoded as a reply read from a socket is."""
-    if answering.depth > DEFAULT_MAX_DEPTH:
-        raise DepthExceededError(DEFAULT_MAX_DEPTH)
     first, *extras = answer(request)
     fields = first.split(" ")
     expected = extra_count(fields) if fields[0] == "OK" and extra_count is not None else 0
@@ -575,7 +568,7 @@ def _roundtrip(
         bounded_lines([request])
     except LineTooLong as exc:
         raise TransportError(f"request {exc}") from None
-    if answering.depth:
+    if scope.answering:
         answer = _answers.get(address)
         if answer is not None:
             return _call_answer(answer, request, extra_count)

@@ -345,3 +345,12 @@ def test_serve_rejects_unknown_role(tmp_path, deployment):
     with pytest.raises(SystemExit) as excinfo:
         main(["serve", "--role", "dns", "--config", "whatever"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("listen", ["nonsense", "127.0.0.1:99999", "my host:1"])
+def test_serve_rejects_a_bad_listen_address(capsys, listen):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--role", "userdb", "--config", "whatever", "--listen", listen])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --listen" in err and "Traceback" not in err

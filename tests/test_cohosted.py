@@ -3,8 +3,9 @@
 A request a server sends while answering, to a server of the same
 process, is a call to that server's answer function: the same lines,
 counters and ERR codes as over a connection, but no socket, no handler
-thread and no timeout, and at most DEFAULT_MAX_DEPTH of them nested on
-one thread.
+thread and no timeout.  A RESOLVE answered so spends its caller's step
+budget, so one budget bounds every hop of a request; the thread's scope
+holds no budget once the request is answered.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ import pytest
 
 from conftest import Deployment
 from namechain import kit, servers, wire
-from namechain.bench import resolve_scenario
+from namechain.bench import SCENARIOS, resolve_scenario
 from namechain.names import parse_name
 from namechain.resolver import (
     DEFAULT_MAX_DEPTH,
@@ -26,7 +27,9 @@ from namechain.resolver import (
     ResolveContext,
     TransportError,
     resolve,
+    scope,
 )
+from test_oracle import as_a_cohosted_server
 
 # The server each scenario's first request goes to, and the one that
 # server asks in turn.
@@ -67,6 +70,18 @@ def locate_events_at(calendar: servers.CalendarServer, location) -> None:
         servers.StoredEvent(ev.event_id, dataclasses.replace(ev.fields, location=location))
         for ev in calendar.events
     ]
+
+
+def loops(n):
+    """`today meeting location`, n times over: with every event located at
+    the calendar it is asked of, each loop after the first is one more hop
+    from the calendar to itself, nested in the one before.  The loops
+    spend 4n - 1 steps: three a loop, and one a hop."""
+    return parse_name("(" + " ".join(["today meeting location"] * n) + ")")
+
+
+# The most loops one budget of DEFAULT_MAX_DEPTH steps resolves.
+MOST_LOOPS = (DEFAULT_MAX_DEPTH + 1) // 4
 
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])
@@ -178,7 +193,7 @@ def test_an_in_process_reply_must_have_the_lines_it_says(monkeypatch, call, repl
         return reply
 
     wire.host(address, answer)
-    monkeypatch.setattr(wire.answering, "depth", 1)  # as if answering a request
+    monkeypatch.setattr(scope, "answering", 1)  # as if answering a request
     try:
         with pytest.raises(TransportError):
             call(address)
@@ -195,7 +210,7 @@ def test_an_in_process_reply_with_its_lines_decodes(monkeypatch):
         return ["OK 2", "-", "00ff"]
 
     wire.host(address, answer)
-    monkeypatch.setattr(wire.answering, "depth", 1)
+    monkeypatch.setattr(scope, "answering", 1)
     try:
         assert wire.query_events(address, 0, 1, "meeting") == [b"", b"\x00\xff"]
     finally:
@@ -203,9 +218,6 @@ def test_an_in_process_reply_with_its_lines_decodes(monkeypatch):
 
 
 def test_nested_cohosted_hops_are_bounded():
-    # Every event's location is the calendar itself, so each
-    # "today meeting location" after the first is one more hop from the
-    # calendar to itself.
     dep = Deployment()
     try:
         calendar = dep.servers["calendar"]
@@ -213,22 +225,84 @@ def test_nested_cohosted_hops_are_bounded():
         locate_events_at(calendar, here)
         ctx = calendar_context(dep)
         start = threading.active_count()
-
-        def loops(n):
-            return parse_name("(" + " ".join(["today meeting location"] * n) + ")")
-
-        # n loops make n - 1 hops, each nested in the one before.
-        for n in (20, DEFAULT_MAX_DEPTH + 1):
+        for n in (1, MOST_LOOPS):
             assert resolve(ctx, loops(n)).description == here
-        for n in (DEFAULT_MAX_DEPTH + 2, 40):
+        for n in (MOST_LOOPS + 1, 40):
             before = calendar.request_count()
             with pytest.raises(DepthExceededError) as excinfo:
                 resolve(ctx, loops(n))
             assert excinfo.value.max_depth == DEFAULT_MAX_DEPTH
-            assert calendar.request_count() - before == DEFAULT_MAX_DEPTH + 1
+            assert calendar.request_count() - before == MOST_LOOPS + 1
         assert wait_for_threads(start) <= start
     finally:
         dep.shutdown()
+
+
+def test_each_request_on_a_connection_gets_a_budget_of_its_own(monkeypatch):
+    dep = Deployment()
+    try:
+        calendar = dep.servers["calendar"]
+        here = kit.calendar_description(calendar.address)
+        locate_events_at(calendar, here)
+        ctx = calendar_context(dep)
+        wire.close_idle_connections()
+        connections = ConnectionCounter(monkeypatch)
+        # Both go to the one handler thread of one pooled connection.
+        with pytest.raises(DepthExceededError) as excinfo:
+            resolve(ctx, loops(MOST_LOOPS + 1))
+        assert excinfo.value.max_depth == DEFAULT_MAX_DEPTH
+        assert resolve(ctx, loops(MOST_LOOPS)).description == here
+        assert connections.count == 1
+    finally:
+        dep.shutdown()
+
+
+def test_a_failed_resolution_leaves_the_scope_empty():
+    dep = Deployment()
+    garbage = "127.0.0.1:9"  # never connected to: the answer is hosted
+
+    def answer(line):
+        return ["OK two"]
+
+    wire.host(garbage, answer)
+    try:
+        calendar = dep.servers["calendar"]
+        ctx = calendar_context(dep)
+        for location, error in [
+            (kit.calendar_description(calendar.address), DepthExceededError),
+            (kit.location_description(garbage, bytes(16)), TransportError),
+        ]:
+            locate_events_at(calendar, location)
+            with as_a_cohosted_server():
+                with pytest.raises(error):
+                    resolve(ctx, loops(40))
+                assert (scope.budget, scope.answering) == (None, 1)
+            assert (scope.budget, scope.answering) == (None, 0)
+    finally:
+        wire.unhost(garbage, answer)
+        dep.shutdown()
+
+
+# The fewest steps each scenario resolves in when every hop is a call:
+# one at the client, for its hop to the first server, and every step of
+# every server the request reaches.
+FEWEST_STEPS = {1: 5, 2: 6, 3: 4}
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_a_cohosted_hop_spends_the_callers_budget(deployment, scenario):
+    spec = SCENARIOS[scenario]
+    registry = kit.build_registry(deployment.clock, deployment.cfg.addresses["userdb"])
+    initial = registry.instantiate(deployment.cfg.initial_description(spec.initial_alias))
+    name = parse_name(spec.name_text)
+    expected = resolve_scenario(deployment.cfg, scenario, clock=deployment.clock).description
+    fewest = FEWEST_STEPS[scenario]
+    with as_a_cohosted_server():
+        ctx = ResolveContext(registry, initial, deployment.clock, max_depth=fewest)
+        assert resolve(ctx, name).description == expected
+        with pytest.raises(DepthExceededError) as excinfo:
+            resolve(dataclasses.replace(ctx, max_depth=fewest - 1), name)
+    assert excinfo.value.max_depth == fewest - 1
 
 
 def test_concurrent_clients_get_the_single_threaded_answers():

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FakeClock
 from namechain import kit, servers, wire
 from namechain.names import parse_name
-from namechain.resolver import NotBoundError, ResolutionError, ResolveContext, resolve
+from namechain.resolver import NotBoundError, ResolutionError, ResolveContext, resolve, scope
 
 HOUR_MS = 3_600_000
 TAGS = ("meeting", "review")
@@ -173,11 +173,11 @@ def outcome(registry, initial, name, clock):
 @contextlib.contextmanager
 def as_a_cohosted_server():
     """Send requests from this thread as a server of this process does."""
-    wire.answering.depth += 1
+    scope.answering += 1
     try:
         yield
     finally:
-        wire.answering.depth -= 1
+        scope.answering -= 1
 
 
 @settings(max_examples=150, deadline=None)
