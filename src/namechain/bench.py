@@ -66,8 +66,10 @@ def resolve_scenario(
     clock: Clock = system_clock,
     registry: Optional[TypeRegistry] = None,
     cache: Optional[NameCache] = None,
+    timeout: float = wire.DEFAULT_TIMEOUT,
 ) -> Resolution:
-    """Resolve a scenario name through the naming system."""
+    """Resolve a scenario name through the naming system, each wire call
+    within `timeout` seconds."""
     spec = SCENARIOS[scenario]
     if registry is None:
         registry = kit.build_registry(clock, cfg.addresses["userdb"])
@@ -75,7 +77,7 @@ def resolve_scenario(
     initial = registry.instantiate(initial_desc)
     if initial is None:
         raise UnknownTypeError(initial_desc.type_id, step=0)
-    ctx = ResolveContext(registry=registry, initial=initial, clock=clock)
+    ctx = ResolveContext(registry, initial, clock, timeout=timeout)
     name = parse_name(spec.name_text)
     if cache is not None:
         return cached_resolve(ctx, cache, name)
@@ -155,9 +157,9 @@ def run_bench(
         raise ValueError(f"mode must be 'nun' or 'manual', got {mode!r}")
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    registry = kit.build_registry(clock, cfg.addresses["userdb"], timeout=timeout)
+    registry = kit.build_registry(clock, cfg.addresses["userdb"])
 
-    resolved = resolve_scenario(cfg, scenario, clock=clock, registry=registry)
+    resolved = resolve_scenario(cfg, scenario, clock=clock, registry=registry, timeout=timeout)
     manual = manual_discover(cfg, scenario, clock=clock, timeout=timeout)
     if resolved.description.to_bytes() != manual.to_bytes():
         raise ModeDisagreement(
@@ -173,7 +175,7 @@ def run_bench(
         t0 = time.perf_counter_ns()
         if mode == "nun":
             description = resolve_scenario(
-                cfg, scenario, clock=clock, registry=registry, cache=cache
+                cfg, scenario, clock=clock, registry=registry, cache=cache, timeout=timeout
             ).description
         else:
             description = manual_discover(cfg, scenario, clock=clock, timeout=timeout)

@@ -116,12 +116,12 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         return 2
 
     userdb = cfg.addresses.get("userdb") if cfg is not None else None
-    registry = kit.build_registry(system_clock, userdb, timeout=args.timeout)
+    registry = kit.build_registry(system_clock, userdb)
     try:
         initial = registry.instantiate(initial_desc)
         if initial is None:
             raise UnknownTypeError(initial_desc.type_id, step=0)
-        ctx = ResolveContext(registry=registry, initial=initial, clock=system_clock)
+        ctx = ResolveContext(registry, initial, system_clock, timeout=args.timeout)
         resolution = resolve(ctx, name)
     except ResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Deployment configuration: users, locations, events, initial resources.
 
-The file format is line-oriented UTF-8: ``[section]`` headers, ``key =
-value`` assignments, ``#`` comments and blank lines.  Section kinds:
+The file format is line-oriented UTF-8, each line ended by LF alone (a
+CR before it is trailing space): ``[section]`` headers, ``key = value``
+assignments, ``#`` comments and blank lines.  Section kinds:
 
     [addresses]          userdb / location / calendar = host:port
     [user <alias>]       id = <32 hex>, email = <token>, files = <url prefix>
@@ -138,7 +139,8 @@ class _Section(NamedTuple):
 def parse_config(text: str) -> DeploymentConfig:
     sections: list[_Section] = []
     current: Optional[_Section] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Not splitlines(): it also breaks at a form feed, U+2028 and the like.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -433,10 +433,11 @@ UserFetch = Callable[[str, bytes], tuple[str, str]]
 
 
 def fetch_events(
-    address: str, start: int, end: int, tag: str, timeout: float = wire.DEFAULT_TIMEOUT
+    address: str, start: int, end: int, tag: str
 ) -> list[tuple[bytes, Optional[EventFields]]]:
-    """The events query over the wire (EVENTS): its specs arrive undecoded."""
-    return [(spec, None) for spec in wire.query_events(address, start, end, tag, timeout)]
+    """The events query over the wire (EVENTS): its specs arrive undecoded,
+    within the timeout of the resolution that asks."""
+    return [(spec, None) for spec in wire.query_events(address, start, end, tag)]
 
 
 class EmptyNamespaceResolver:
@@ -664,8 +665,7 @@ def build_registry(
     clock: Clock = system_clock,
     userdb_address: Optional[str] = None,
     *,
-    timeout: float = wire.DEFAULT_TIMEOUT,
-    events_query: Optional[EventsQuery] = None,
+    events_query: EventsQuery = fetch_events,
     user_fetch: Optional[UserFetch] = None,
 ) -> TypeRegistry:
     """Registry with every sample type plus the remote proxy type.
@@ -675,15 +675,15 @@ def build_registry(
     live.  events_query and user_fetch default to wire queries and exist
     so servers can short-circuit lookups into their own state (and tests
     can avoid sockets); a calendar server's query answers its events with
-    the fields it encoded at start-up.  timeout bounds every wire request
-    the registry's resolvers make.
+    the fields it encoded at start-up.  The registry sets no timeout: each
+    wire request its resolvers make has that of the resolution it is a
+    step of (ResolveContext.timeout), so one registry serves requests
+    with different limits.
     """
     if userdb_address is not None:
         wire.parse_address(userdb_address)
-    if events_query is None:
-        events_query = functools.partial(fetch_events, timeout=timeout)
-    if user_fetch is None:
-        user_fetch = functools.partial(wire.get_user, timeout=timeout)
+    if user_fetch is None:  # looked up as this runs: a wrapper put on it after import is used
+        user_fetch = wire.get_user
 
     registry = TypeRegistry()
 
@@ -705,12 +705,12 @@ def build_registry(
         # "host:port <id>" names a resource its element resolves natively.
         def factory(spec: bytes) -> wire.RemoteResolver:
             address, resource_id = wire.parse_addr_id_spec(spec, owner_type)
-            return wire.RemoteResolver(address, resource_id, timeout)
+            return wire.RemoteResolver(address, resource_id)
 
         return factory
 
     def calendar_factory(spec: bytes) -> wire.RemoteResolver:
-        return wire.RemoteResolver(parse_calendar_spec(spec), CALENDAR_RESOURCE_ID, timeout)
+        return wire.RemoteResolver(parse_calendar_spec(spec), CALENDAR_RESOURCE_ID)
 
     def time_period_factory(spec: bytes) -> TimePeriodResolver:
         address, start, end = parse_time_period_spec(spec)

@@ -47,6 +47,9 @@ Clock = Callable[[], int]
 # One number for both limits: a name nested deeper than the parser takes
 # spends more steps than this on its nested names alone.
 DEFAULT_MAX_DEPTH = MAX_NESTING
+# Seconds each wire call of a resolution may wait to connect, and then
+# on each send and receive.
+DEFAULT_TIMEOUT = 5.0
 
 
 def system_clock() -> int:
@@ -187,33 +190,43 @@ class Resolver(Protocol):
 class ResolveContext:
     """Everything one top-level resolve call needs.
 
-    max_depth caps the total number of single-step resolutions (local or
-    delegated) performed for one request on this thread, attribute
-    resolution and co-hosted hops included, so resolution terminates even
-    on cyclic name graphs.
+    It holds the limits of the request; no registry or proxy holds any:
+
+    - max_depth caps the total number of single-step resolutions (local
+      or delegated) performed for one request on this thread, attribute
+      resolution and co-hosted hops included, so resolution terminates
+      even on cyclic name graphs;
+    - timeout (seconds) bounds every wire call its steps make: the
+      connect, then each send and receive.
+
+    A co-hosted hop keeps the limits of the request it is part of.
     """
 
     registry: TypeRegistry
     initial: Resolver
     clock: Clock = field(default=system_clock)
     max_depth: int = DEFAULT_MAX_DEPTH
+    timeout: float = DEFAULT_TIMEOUT
 
 
 class _Budget:
-    __slots__ = ("remaining", "limit")
+    """One request: the context that opened it, whose limits bound every
+    hop of it, and the steps it has left."""
 
-    def __init__(self, limit: int) -> None:
-        self.remaining = limit
-        self.limit = limit
+    __slots__ = ("remaining", "ctx")
+
+    def __init__(self, ctx: ResolveContext) -> None:
+        self.remaining = ctx.max_depth
+        self.ctx = ctx
 
     def spend(self) -> None:
         if self.remaining <= 0:
-            raise DepthExceededError(self.limit)
+            raise DepthExceededError(self.ctx.max_depth)
         self.remaining -= 1
 
 
 class _Scope(threading.local):
-    budget: Optional[_Budget] = None  # of the resolution running on this thread
+    budget: Optional[_Budget] = None  # the request of the resolution running on this thread
     answering = 0  # RoleServer.answer calls running on this thread, nested
 
 
@@ -311,16 +324,17 @@ def _walk(
 def resolve(ctx: ResolveContext, name: Name) -> Resolution:
     """Resolve a name relative to the context's initial resource.
 
-    One budget of ctx.max_depth steps bounds one request on this thread,
-    co-hosted hops included: a call made while a resolution runs on this
-    thread (a server answering a co-hosted hop) spends that one's budget.
+    One budget of ctx.max_depth steps, with ctx.timeout on each wire
+    call, bounds one request on this thread, co-hosted hops included: a
+    call made while a resolution runs on this thread (a server answering
+    a co-hosted hop) spends that one's budget under its timeout.
 
     Every failure is a ResolutionError: NotBoundError, UnknownTypeError,
     DepthExceededError, TransportError or MalformedSpecError (a spec its
     type's code refused), carrying the chain step (0-based) it occurred at.
     """
     outer = scope.budget
-    scope.budget = budget = outer if outer is not None else _Budget(ctx.max_depth)
+    scope.budget = budget = outer if outer is not None else _Budget(ctx)
     try:
         validity = None
         if getattr(ctx.initial, "resolve_name", None) is None:

@@ -36,8 +36,10 @@ connection's handler and, from when the server is bound until it is
 closed, to the other servers of this process: a request a server sends
 while answering, to one of them, is a call to its ``answer`` in the same
 thread (see ``wire``), with the same lines, counters and ERR codes and
-no timeout.  A RESOLVE answered so spends its caller's step budget
-(``resolver.scope``); one that came over a connection opens a fresh one.
+no timeout of its own.  A RESOLVE answered so spends its caller's step
+budget, and makes its wire calls under its caller's timeout
+(``resolver.scope``); one that came over a connection opens a fresh
+budget, with the default timeout.
 A server is hosted once, under ``RoleServer.address``: the address its
 peers reach it at, which is a calendar's advertised address when it has
 one, else the host it listens at as written (``localhost`` stays

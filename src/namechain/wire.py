@@ -66,9 +66,15 @@ bounds (``SO_SNDTIMEO``/``SO_RCVTIMEO``, set by ``set_io_timeout``), so
 reading or writing a line costs one system call, not a readiness poll
 first.  A client connects within its timeout (``socket.create_connection``)
 and then waits at most that long on each send and receive; a server sheds
-a connection idle for 60 s.  A call the bound cuts short fails with EAGAIN,
-reported as "timed out".  ``LineConnection`` is the one line reader and
-writer of both ends.
+a connection idle for 60 s.  A call the bound cuts short fails with
+EAGAIN, reported as "timed out".  ``LineConnection`` is the one line
+reader and writer of both ends.
+
+A client call's timeout is its caller's ``timeout`` argument.  When that
+is None, it is the timeout of the resolution running on the thread
+(``ResolveContext.timeout``, which ``resolver.scope`` holds), else
+``DEFAULT_TIMEOUT``.  So every hop a resolution makes has its timeout,
+and no registry or proxy holds one.
 
 Servers in one process answer each other without a socket: each hosts
 its answer function here (``host``) under the one address its peers
@@ -77,9 +83,10 @@ request sent while answering (``resolver.scope.answering`` > 0) to a
 hosted address is a call to that answer, in the calling thread.  Its
 lines, the server's counters and its ERR codes are those a connection
 carries, and its reply is decoded as one read from a socket; it has no
-timeout.  A co-hosted RESOLVE spends its caller's step budget, so the
-caller's limit bounds how deep such calls nest.  A request sent over a
-socket starts a fresh budget at the server.
+timeout of its own.  A co-hosted RESOLVE spends its caller's step budget,
+so the caller's limit bounds how deep such calls nest, and its wire
+calls have its caller's timeout.  A request sent over a socket starts a
+fresh budget at the server, under the default timeout.
 """
 
 from __future__ import annotations
@@ -93,6 +100,7 @@ from typing import Any, Callable, Optional
 
 from .names import _TOKEN_RE, Name, NameSyntaxError, _build, parse_name, serialize_name
 from .resolver import (
+    DEFAULT_TIMEOUT,
     DepthExceededError,
     MalformedSpecError,
     NotBoundError,
@@ -107,7 +115,6 @@ from .resources import ResourceDescription, TYPE_ID_LENGTH, derive_type_id
 MAX_LINE_BYTES = 65536
 _FITS_ANY_CHARS = MAX_LINE_BYTES // 4  # UTF-8 takes at most 4 bytes a code point
 _MAX_DETAIL_CHARS = 1024  # an ERR line's detail, so no ERR line nears MAX_LINE_BYTES
-DEFAULT_TIMEOUT = 5.0
 ENTITY_ID_LENGTH = 16
 _MAX_IDLE_PER_ADDRESS = 4  # pooled idle connections kept per peer
 _RECV_BYTES = 65536  # the most one receive asks the kernel for
@@ -556,13 +563,15 @@ def _call_answer(
 def _roundtrip(
     address: str,
     request: str,
-    timeout: float,
+    timeout: Optional[float],
     extra_count: Optional[Callable[[list[str]], int]] = None,
 ) -> tuple[list[str], list[str]]:
     """Send one request line; return (first response fields, extra lines).
 
-    A request a server sends while answering, to a server in this process,
-    is a call to that server's answer function instead (see _call_answer).
+    A timeout of None is that of the resolution running on this thread,
+    else DEFAULT_TIMEOUT.  A request a server sends while answering, to a
+    server in this process, is a call to that server's answer function
+    instead (see _call_answer).
     """
     try:
         bounded_lines([request])
@@ -572,6 +581,8 @@ def _roundtrip(
         answer = _answers.get(address)
         if answer is not None:
             return _call_answer(answer, request, extra_count)
+    if timeout is None:
+        timeout = DEFAULT_TIMEOUT if scope.budget is None else scope.budget.ctx.timeout
     payload = (request + "\n").encode("utf-8")
     for attempt in (0, 1):
         conn, reused = _pool.acquire(address, timeout)
@@ -620,7 +631,7 @@ def _expect_ok(fields: list[str], verb: str) -> list[str]:
 
 
 def resolve_remote(
-    address: str, resource_id: bytes, name: Name, timeout: float = DEFAULT_TIMEOUT
+    address: str, resource_id: bytes, name: Name, timeout: Optional[float] = None
 ) -> Resolution:
     """Ask the element at `address` to resolve `name` from a hosted resource."""
     request = f"RESOLVE {format_entity_id(resource_id)} {serialize_name(name)}"
@@ -628,7 +639,7 @@ def resolve_remote(
     return parse_ok_resolution(_expect_ok(fields, "RESOLVE"))
 
 
-def get_user(address: str, user_id: bytes, timeout: float = DEFAULT_TIMEOUT) -> tuple[str, str]:
+def get_user(address: str, user_id: bytes, timeout: Optional[float] = None) -> tuple[str, str]:
     """Fetch a user record: (email, file collection URL prefix)."""
     fields, _ = _roundtrip(address, f"GETUSER {format_entity_id(user_id)}", timeout)
     fields = _expect_ok(fields, "GETUSER")
@@ -637,7 +648,7 @@ def get_user(address: str, user_id: bytes, timeout: float = DEFAULT_TIMEOUT) -> 
     return fields[1], fields[2]
 
 
-def occupancy(address: str, location_id: bytes, timeout: float = DEFAULT_TIMEOUT) -> list[bytes]:
+def occupancy(address: str, location_id: bytes, timeout: Optional[float] = None) -> list[bytes]:
     """List of user ids currently in the location, in arrival order."""
     fields, _ = _roundtrip(address, f"OCCUPANCY {format_entity_id(location_id)}", timeout)
     fields = _expect_ok(fields, "OCCUPANCY")
@@ -648,7 +659,7 @@ def occupancy(address: str, location_id: bytes, timeout: float = DEFAULT_TIMEOUT
 
 
 def set_occupancy(
-    address: str, location_id: bytes, user_ids: list[bytes], timeout: float = DEFAULT_TIMEOUT
+    address: str, location_id: bytes, user_ids: list[bytes], timeout: Optional[float] = None
 ) -> None:
     request = f"SETOCC {format_entity_id(location_id)} {format_id_list(user_ids)}"
     fields, _ = _roundtrip(address, request, timeout)
@@ -657,7 +668,7 @@ def set_occupancy(
 
 
 def query_events(
-    address: str, start: int, end: int, tag: str, timeout: float = DEFAULT_TIMEOUT
+    address: str, start: int, end: int, tag: str, timeout: Optional[float] = None
 ) -> list[bytes]:
     """Event specifications within [start, end) carrying `tag`, in order.
 
@@ -685,16 +696,16 @@ class RemoteResolver:
     the kit's location and calendar types all resolve through it.  Whole
     names are forwarded in one RESOLVE; the remote element runs the
     resolution procedure itself and already returns the intersected
-    validity.
+    validity.  Its wire call has the timeout of the resolution it is a
+    step of.
     """
 
-    def __init__(self, address: str, resource_id: bytes, timeout: float = DEFAULT_TIMEOUT) -> None:
+    def __init__(self, address: str, resource_id: bytes) -> None:
         self.address = address
         self.resource_id = resource_id
-        self.timeout = timeout
 
     def resolve_name(self, name: Name) -> Resolution:
-        return resolve_remote(self.address, self.resource_id, name, self.timeout)
+        return resolve_remote(self.address, self.resource_id, name)
 
 
 def remote_description(address: str, resource_id: bytes) -> ResourceDescription:

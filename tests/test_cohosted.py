@@ -3,9 +3,10 @@
 A request a server sends while answering, to a server of the same
 process, is a call to that server's answer function: the same lines,
 counters and ERR codes as over a connection, but no socket, no handler
-thread and no timeout.  A RESOLVE answered so spends its caller's step
-budget, so one budget bounds every hop of a request; the thread's scope
-holds no budget once the request is answered.
+thread and no timeout of its own.  A RESOLVE answered so spends its
+caller's step budget, so one budget bounds every hop of a request, and
+its wire calls have its caller's timeout; the thread's scope holds no
+budget once the request is answered.
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ from namechain.resolver import (
     scope,
 )
 from test_oracle import as_a_cohosted_server
+from test_wire import _ScriptedPeer
 
 # The server each scenario's first request goes to, and the one that
 # server asks in turn.
@@ -303,6 +305,28 @@ def test_a_cohosted_hop_spends_the_callers_budget(deployment, scenario):
         with pytest.raises(DepthExceededError) as excinfo:
             resolve(dataclasses.replace(ctx, max_depth=fewest - 1), name)
     assert excinfo.value.max_depth == fewest - 1
+
+
+def test_a_cohosted_hop_makes_its_wire_calls_within_the_callers_timeout():
+    # The location server asks a userdb that never answers, over a socket:
+    # under its own context's timeout (the default) that would take 5 s.
+    userdb = _ScriptedPeer(lambda n: "silent")
+    user, room = b"\x01" * 16, b"\x02" * 16
+    location = servers.LocationManager(("127.0.0.1", 0), {room: [user]}, userdb.address)
+    try:
+        registry = kit.build_registry()
+        initial = registry.instantiate(kit.location_description(location.address, room))
+        timeout = 0.3
+        start = time.monotonic()
+        with as_a_cohosted_server():
+            with pytest.raises(TransportError, match="timed out"):
+                resolve(ResolveContext(registry, initial, timeout=timeout), parse_name("(occupant email)"))
+        assert time.monotonic() - start < 2 * timeout
+        assert len(userdb.lines) == 1
+        assert location.request_count("RESOLVE") == 1
+    finally:
+        location.server_close()
+        userdb.close()
 
 
 def test_concurrent_clients_get_the_single_threaded_answers():

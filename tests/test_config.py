@@ -183,6 +183,19 @@ def test_comments_and_blank_lines_ignored():
     assert parse_config(text).addresses == ADDRESSES
 
 
+# Each breaks a line for str.splitlines(); in a config only LF does.
+OTHER_LINE_BREAKS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_lines_break_at_lf_only(char):
+    text = f"[addresses]\n# note{char}see wiki\n" + MINIMAL.partition("\n")[2]
+    assert parse_config(text).addresses == ADDRESSES
+    # A CR ending a line (CRLF) is stripped with the other trailing space.
+    assert parse_config(MINIMAL.replace("\n", char + "\n")).addresses == ADDRESSES
+    _expect_error(f"# a{char}b\n" + MINIMAL + "[garbage x]\n", 6, "unknown section kind")
+
+
 def test_calendar_sections_take_no_keys():
     _expect_error(MINIMAL + "[calendar main]\nx = y\n", 6, "no keys")
 

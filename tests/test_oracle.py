@@ -5,7 +5,8 @@ servers: the kit's registry over the deployment's state, with the
 location, calendar and remote types answered by in-process resolvers.
 A name resolved from the calendar or from a room, through the live
 servers and through the oracle, gives the same description and validity,
-or the same class of error.
+or the same class of error.  Half the names carry a name-valued
+attribute, which the server literalizes against its own resource.
 
 The live servers run no serving thread: the first request is sent as a
 server of this process sends one, so it and every hop after it is a
@@ -108,7 +109,7 @@ def worlds(draw) -> World:
 
 
 @st.composite
-def plain_names(draw):
+def plain_names(draw) -> str:
     tokens = []
     follow = FIRST
     while follow and len(tokens) < 5:
@@ -118,6 +119,23 @@ def plain_names(draw):
         follow = FOLLOW.get(token, ())
         if not draw(st.sampled_from(range(5))):  # ends before a token's end
             break
+    return "(" + " ".join(tokens) + ")"
+
+
+@st.composite
+def names_to_resolve(draw):
+    """A plain name; one in two gets one name-valued attribute,
+    [a=(<plain name>)], on one of its local names.
+
+    Every type ignores attributes, but their names are resolved all the
+    same, against the initial resource of the element that literalizes
+    them: the server, since the client's initial resource resolves
+    whole names.
+    """
+    tokens = draw(plain_names())[1:-1].split(" ")
+    if draw(st.booleans()):
+        i = draw(st.sampled_from(range(len(tokens))))
+        tokens[i] += f"[a={draw(plain_names())}]"
     return parse_name("(" + " ".join(tokens) + ")")
 
 
@@ -181,7 +199,7 @@ def as_a_cohosted_server():
 
 
 @settings(max_examples=150, deadline=None)
-@given(world=worlds(), names=st.lists(plain_names(), min_size=1, max_size=8))
+@given(world=worlds(), names=st.lists(names_to_resolve(), min_size=1, max_size=8))
 def test_live_servers_resolve_as_the_oracle_does(world, names):
     clock = FakeClock()
     with contextlib.ExitStack() as stack:

@@ -1,15 +1,18 @@
 import socket
 import threading
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import nested_name
 
-from namechain import kit, servers, wire
-from namechain.config import ConfigError, DeploymentConfig, parse_config
-from namechain.names import NameSyntaxError, parse_name
+from namechain import bench, kit, resolver, servers, wire
+from namechain.cache import NameCache, cached_resolve
+from namechain.cli import main
+from namechain.config import ConfigError, DeploymentConfig, demo_deployment, parse_config
+from namechain.names import NameSyntaxError, parse_name, serialize_resource_literal
 from namechain.resolver import (
     DepthExceededError,
     NotBoundError,
@@ -20,6 +23,7 @@ from namechain.resolver import (
     UnknownTypeError,
     Validity,
     resolve,
+    system_clock,
 )
 from namechain.resources import ResourceDescription
 from namechain.servers import LocationManager, UserDatabase, start_in_thread
@@ -356,12 +360,12 @@ def test_resolve_request_on_each_resolving_role(deployment, role, name, request_
     ids=["location", "remote"],
 )
 def test_addr_id_types_build_remote_proxies(describe, pretty):
-    registry = kit.build_registry(timeout=1.5)
+    registry = kit.build_registry()
     resource_id = bytes(range(16))
     description = describe("127.0.0.1:7001", resource_id)
     proxy = registry.instantiate(description)
     assert isinstance(proxy, wire.RemoteResolver)
-    assert (proxy.address, proxy.resource_id, proxy.timeout) == ("127.0.0.1:7001", resource_id, 1.5)
+    assert (proxy.address, proxy.resource_id) == ("127.0.0.1:7001", resource_id)
     assert registry.pretty(description).startswith(pretty + resource_id.hex())
     padded = ResourceDescription(description.type_id, f"127.0.0.1:7001 {PADDED_IDS[0]}".encode())
     with pytest.raises(MalformedSpecError) as excinfo:
@@ -542,7 +546,7 @@ def test_getuser_reply_with_an_empty_field_is_a_transport_error(reply):
         _reply_from_peer(reply, lambda address: wire.get_user(address, bytes(16), timeout=5))
 
     def files_of_that_user(address):
-        registry = kit.build_registry(userdb_address=address, timeout=5)
+        registry = kit.build_registry(userdb_address=address)
         initial = registry.instantiate(kit.user_description(address, bytes(16)))
         resolve(ResolveContext(registry=registry, initial=initial), parse_name("(files x)"))
 
@@ -578,15 +582,57 @@ def test_pooled_connection_to_a_silent_peer_is_not_retried():
     ],
     ids=["RESOLVE", "GETUSER", "EVENTS"],
 )
-def test_registry_timeout_bounds_every_hop(describe, name):
+def test_context_timeout_bounds_every_hop(describe, name):
     peer = _ScriptedPeer(lambda n: "silent")
     timeout = 0.3
     try:
-        registry = kit.build_registry(timeout=timeout)
-        ctx = ResolveContext(registry=registry, initial=registry.instantiate(describe(peer.address)))
+        registry = kit.build_registry()
+        initial = registry.instantiate(describe(peer.address))
+        ctx = ResolveContext(registry=registry, initial=initial, timeout=timeout)
         start = time.monotonic()
         with pytest.raises(TransportError):
             resolve(ctx, parse_name(name))
+        assert time.monotonic() - start < 2 * timeout
+        assert len(peer.lines) == 1
+    finally:
+        peer.close()
+
+
+def _through_cached_resolve(address, timeout, capsys):
+    registry = kit.build_registry()
+    initial = registry.instantiate(wire.remote_description(address, b"\x01" * 16))
+    ctx = ResolveContext(registry=registry, initial=initial, timeout=timeout)
+    with pytest.raises(TransportError, match="timed out"):
+        cached_resolve(ctx, NameCache(), parse_name("(x)"))
+
+
+def _through_resolve_scenario(address, timeout, capsys):
+    addresses = {"userdb": "127.0.0.1:1", "location": "127.0.0.1:1", "calendar": address}
+    cfg = demo_deployment(addresses, system_clock())
+    with pytest.raises(TransportError, match="timed out"):
+        bench.resolve_scenario(cfg, 1, timeout=timeout)
+
+
+def _through_the_resolve_command(address, timeout, capsys):
+    literal = serialize_resource_literal(wire.remote_description(address, b"\x01" * 16))
+    assert main(["resolve", "--timeout", str(timeout), "--initial", literal, "(x)"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: transport failure (request to ")
+    assert "timed out" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "call",
+    [_through_cached_resolve, _through_resolve_scenario, _through_the_resolve_command],
+    ids=["cached_resolve", "resolve_scenario", "namechain-resolve"],
+)
+def test_each_entry_point_hands_its_timeout_to_the_resolution(call, capsys):
+    peer = _ScriptedPeer(lambda n: "silent")
+    timeout = 0.3
+    try:
+        start = time.monotonic()
+        call(peer.address, timeout, capsys)
         assert time.monotonic() - start < 2 * timeout
         assert len(peer.lines) == 1
     finally:
@@ -808,6 +854,23 @@ def test_pooled_connections_are_blocking_with_the_callers_timeout(deployment):
     (conn,) = wire._pool._idle[address]
     assert conn.sock.gettimeout() is None
     assert _timeval(conn.sock, socket.SO_RCVTIMEO) == (1, 500_000)
+
+
+def test_a_wire_call_outside_any_resolution_waits_the_default_timeout(deployment):
+    assert wire.DEFAULT_TIMEOUT == resolver.DEFAULT_TIMEOUT == 5.0
+    address, alice = deployment.cfg.addresses["userdb"], deployment.cfg.users["alice"].user_id
+    registry = kit.build_registry(userdb_address=address)
+    initial = registry.instantiate(kit.user_description(address, alice))
+    wire.close_idle_connections()
+    resolve(ResolveContext(registry, initial, timeout=1.5), parse_name("(email)"))
+    (conn,) = wire._pool._idle[address]
+    assert _timeval(conn.sock, socket.SO_RCVTIMEO) == (1, 500_000)
+    # The resolution is over: the same pooled connection, asked again
+    # with no timeout, waits the default.
+    wire.get_user(address, alice)
+    assert wire._pool._idle[address] == deque([conn])
+    assert conn.sock.gettimeout() is None
+    assert _timeval(conn.sock, socket.SO_RCVTIMEO) == (5, 0)
 
 
 @pytest.mark.parametrize("first,second", [(5.0, 0.3), (0.2, 0.6)], ids=["shorter", "longer"])
