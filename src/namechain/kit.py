@@ -42,6 +42,16 @@ was encoded from, so resolving through its own calendar decodes no event
 spec.  The user database has no resolution support of its own, so the
 user type's resolver fetches the record and maps local names client-side.
 
+A step hands on what it built its description from (see resolver): the
+calendar its period, a time period its event's fields, an event its
+moderator and its files, a location its occupant, a user its file
+prefix.  The registry's constructor for the type turns that value into
+the next resolver, as its factory does after decoding, so a chain spends
+no decode on a spec its own step wrote.  A description read from
+elsewhere (an event's stored location, an initial resource) is decoded
+by its type's factory; an event spec that came over the wire is decoded
+by the time-period step, which needs its start, and handed on decoded.
+
 Validity policy: static data lives 24 hours, calendar period names until
 the period ends, time-period tag lookups until the event starts (at
 least 10 minutes), location occupancy 30 seconds, user record mappings
@@ -69,6 +79,7 @@ from .resolver import (
     Clock,
     MalformedSpecError,
     NotBoundError,
+    StepResult,
     Validity,
     system_clock,
     validity_from_duration,
@@ -488,19 +499,22 @@ class EventResolver:
         self.clock = clock
         self.userdb_address = userdb_address
 
-    def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
+    def resolve_local(self, local: LocalName) -> StepResult:
         validity = validity_from_duration(self.clock(), STATIC_TTL_MS)
         if local.primary == "moderator":
             if self.userdb_address is None:
                 raise NotBoundError(local.primary, "no user database configured")
-            return _user_description(self.userdb_address, self.fields.moderator), validity
+            user = (self.userdb_address, self.fields.moderator)
+            return _user_description(*user), validity, user
         if local.primary == "location":
+            # A stored literal: its type's factory decodes it.
             return self.fields.location, validity
         if local.primary == "files":
-            prefix = files_common_prefix(self.fields.files)
+            files = self.fields.files
+            prefix = files_common_prefix(files)
             if prefix is not None:
-                return file_collection_description(prefix), validity
-            return file_set_description(self.fields.files), validity
+                return file_collection_description(prefix), validity, prefix
+            return file_set_description(files), validity, dict(files)
         raise NotBoundError(local.primary, "events bind moderator, location and files")
 
 
@@ -519,14 +533,14 @@ class UserResolver:
         self.clock = clock
         self.fetch = fetch
 
-    def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
+    def resolve_local(self, local: LocalName) -> StepResult:
         if local.primary not in ("email", "files"):
             raise NotBoundError(local.primary, "users bind email and files")
         email, fileprefix = self.fetch(self.userdb_address, self.user_id)
         validity = validity_from_duration(self.clock(), USER_TTL_MS)
         if local.primary == "email":
             return string_description(email), validity
-        return file_collection_description(fileprefix), validity
+        return file_collection_description(fileprefix), validity, fileprefix
 
 
 class TimePeriodResolver:
@@ -535,45 +549,30 @@ class TimePeriodResolver:
     Events are ordered by start instant, ties broken by event id; the
     query source already returns them in that order.  An event the source
     answers undecoded (another calendar's, over the wire) is decoded here,
-    which checks it even when the name ends at it; when the name goes on,
-    resolver_for hands the decoding to the event step.
+    which checks it even when the name ends at it; the step hands the
+    fields on either way.
     """
 
     def __init__(
-        self,
-        server_address: str,
-        start: int,
-        end: int,
-        clock: Clock,
-        query: EventsQuery,
-        userdb_address: Optional[str] = None,
+        self, server_address: str, start: int, end: int, clock: Clock, query: EventsQuery
     ) -> None:
         self.server_address = server_address
         self.start = start
         self.end = end
         self.clock = clock
         self.query = query
-        self.userdb_address = userdb_address
-        self._decoded: Optional[tuple[bytes, EventFields]] = None
 
-    def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
+    def resolve_local(self, local: LocalName) -> StepResult:
         found = self.query(self.server_address, self.start, self.end, local.primary)
         if not found:
             raise NotBoundError(local.primary, "no event in the period carries this tag")
         spec, event = found[0]
         event = event or parse_event_spec(spec)
-        self._decoded = (spec, event)
         # The mapping can only change once the event begins; never issue
         # for less than the floor.
         now = self.clock()
         expires_at = max(event.start, now + PERIOD_TAG_MIN_TTL_MS)
-        return _describe(EVENT_TYPE, spec), Validity(expires_at)
-
-    def resolver_for(self, description: ResourceDescription) -> Optional[EventResolver]:
-        spec, event = self._decoded or (None, None)
-        if spec is not description.spec:
-            return None
-        return EventResolver(event, self.clock, self.userdb_address)
+        return _describe(EVENT_TYPE, spec), Validity(expires_at), event
 
 
 class CalendarResolver:
@@ -584,13 +583,14 @@ class CalendarResolver:
         self.server_address = server_address
         self.clock = clock
 
-    def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
+    def resolve_local(self, local: LocalName) -> StepResult:
         bounds = period_bounds(local.primary, self.clock())
         if bounds is None:
             raise NotBoundError(local.primary, f"calendars bind {', '.join(PERIOD_NAMES)}")
         start, end = bounds
         # The mapping from the period name drifts when the period ends.
-        return _time_period_description(self.server_address, start, end), Validity(end)
+        period = (self.server_address, start, end)
+        return _time_period_description(*period), Validity(end), period
 
 
 class LocationStateResolver:
@@ -611,14 +611,14 @@ class LocationStateResolver:
         self.userdb_address = userdb_address
         self.clock = clock
 
-    def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
+    def resolve_local(self, local: LocalName) -> StepResult:
         if local.primary != "occupant":
             raise NotBoundError(local.primary, "locations bind occupant")
         present = self.occupants()
         if not present:
             raise NotBoundError(local.primary, "location is empty")
-        description = _user_description(self.userdb_address, present[0])
-        return description, validity_from_duration(self.clock(), OCCUPANT_TTL_MS)
+        user = (self.userdb_address, present[0])
+        return _user_description(*user), validity_from_duration(self.clock(), OCCUPANT_TTL_MS), user
 
 
 # --- pretty-printers for the command line
@@ -644,6 +644,9 @@ def _pretty_addr_id(owner_type: bytes, wording: str, spec: bytes) -> str:
     # For the "host:port <id>" types; wording holds {id} and {address}.
     address, entity_id = wire.parse_addr_id_spec(spec, owner_type)
     return wording.format(id=entity_id.hex(), address=address)
+
+
+_pretty_user = functools.partial(_pretty_addr_id, USER_TYPE, "user {id} in database at {address}")
 
 
 def _pretty_calendar(spec: bytes) -> str:
@@ -675,10 +678,13 @@ def build_registry(
     live.  events_query and user_fetch default to wire queries and exist
     so servers can short-circuit lookups into their own state (and tests
     can avoid sockets); a calendar server's query answers its events with
-    the fields it encoded at start-up.  The registry sets no timeout: each
-    wire request its resolvers make has that of the resolution it is a
-    step of (ResolveContext.timeout), so one registry serves requests
-    with different limits.
+    the fields it encoded at start-up.  Each type a step hands on to
+    registers, beside its factory, the constructor the factory calls after
+    decoding (TypeRegistry.build), so a handed-on resolver gets this
+    registry's clock, userdb_address, events_query and user_fetch.  The
+    registry sets no timeout: each wire request its resolvers make has
+    that of the resolution it is a step of (ResolveContext.timeout), so
+    one registry serves requests with different limits.
     """
     if userdb_address is not None:
         wire.parse_address(userdb_address)
@@ -686,6 +692,23 @@ def build_registry(
         user_fetch = wire.get_user
 
     registry = TypeRegistry()
+
+    # The constructors of the types whose steps hand on what a spec
+    # decodes to; each factory below decodes, then calls its type's.
+    def time_period_resolver(period: tuple[str, int, int]) -> TimePeriodResolver:
+        return TimePeriodResolver(*period, clock, events_query)
+
+    def event_resolver(fields: EventFields) -> EventResolver:
+        return EventResolver(fields, clock, userdb_address)
+
+    def user_resolver(user: tuple[str, bytes]) -> UserResolver:
+        return UserResolver(*user, clock, user_fetch)
+
+    def collection_resolver(url_prefix: str) -> FileCollectionResolver:
+        return FileCollectionResolver(url_prefix, clock)
+
+    def file_set_resolver(files: dict[str, str]) -> FileSetResolver:
+        return FileSetResolver(files, clock)
 
     def string_factory(spec: bytes) -> EmptyNamespaceResolver:
         _decode_utf8(spec, STRING_TYPE)
@@ -696,10 +719,10 @@ def build_registry(
         return EmptyNamespaceResolver("file")
 
     def collection_factory(spec: bytes) -> FileCollectionResolver:
-        return FileCollectionResolver(_decode_url(spec, FILE_COLLECTION_TYPE), clock)
+        return collection_resolver(_decode_url(spec, FILE_COLLECTION_TYPE))
 
     def file_set_factory(spec: bytes) -> FileSetResolver:
-        return FileSetResolver(parse_file_set_spec(spec), clock)
+        return file_set_resolver(parse_file_set_spec(spec))
 
     def proxy_factory(owner_type: bytes) -> Callable[[bytes], wire.RemoteResolver]:
         # "host:port <id>" names a resource its element resolves natively.
@@ -713,32 +736,29 @@ def build_registry(
         return wire.RemoteResolver(parse_calendar_spec(spec), CALENDAR_RESOURCE_ID)
 
     def time_period_factory(spec: bytes) -> TimePeriodResolver:
-        address, start, end = parse_time_period_spec(spec)
-        return TimePeriodResolver(address, start, end, clock, events_query, userdb_address)
+        return time_period_resolver(parse_time_period_spec(spec))
 
     def event_factory(spec: bytes) -> EventResolver:
-        return EventResolver(parse_event_spec(spec), clock, userdb_address)
+        return event_resolver(parse_event_spec(spec))
 
     def user_factory(spec: bytes) -> UserResolver:
-        address, user_id = wire.parse_addr_id_spec(spec, USER_TYPE)
-        return UserResolver(address, user_id, clock, user_fetch)
+        return user_resolver(wire.parse_addr_id_spec(spec, USER_TYPE))
 
     registry.register(STRING_TYPE, string_factory, usable=True, label="string", pretty=_pretty_string)
     registry.register(FILE_TYPE, file_factory, usable=True, label="file", pretty=_pretty_file)
-    registry.register(
-        FILE_COLLECTION_TYPE, collection_factory, label="file-collection", pretty=_pretty_collection
-    )
-    registry.register(FILE_SET_TYPE, file_set_factory, label="file-set", pretty=_pretty_file_set)
     registry.register(CALENDAR_TYPE, calendar_factory, label="calendar", pretty=_pretty_calendar)
-    registry.register(
-        TIME_PERIOD_TYPE, time_period_factory, label="time-period", pretty=_pretty_time_period
-    )
-    registry.register(EVENT_TYPE, event_factory, label="event", pretty=_pretty_event)
-    for owner_type, label, factory, wording in (
-        (LOCATION_TYPE, "location", proxy_factory(LOCATION_TYPE), "location {id} managed at {address}"),
-        (USER_TYPE, "user", user_factory, "user {id} in database at {address}"),
-        (wire.REMOTE_TYPE, "remote", proxy_factory(wire.REMOTE_TYPE), "remote resource {id} at {address}"),
+    for owner_type, label, factory, build, pretty in (
+        (FILE_COLLECTION_TYPE, "file-collection", collection_factory, collection_resolver, _pretty_collection),
+        (FILE_SET_TYPE, "file-set", file_set_factory, file_set_resolver, _pretty_file_set),
+        (TIME_PERIOD_TYPE, "time-period", time_period_factory, time_period_resolver, _pretty_time_period),
+        (EVENT_TYPE, "event", event_factory, event_resolver, _pretty_event),
+        (USER_TYPE, "user", user_factory, user_resolver, _pretty_user),
+    ):
+        registry.register(owner_type, factory, label=label, pretty=pretty, build=build)
+    for owner_type, label, wording in (
+        (LOCATION_TYPE, "location", "location {id} managed at {address}"),
+        (wire.REMOTE_TYPE, "remote", "remote resource {id} at {address}"),
     ):
         pretty = functools.partial(_pretty_addr_id, owner_type, wording)
-        registry.register(owner_type, factory, label=label, pretty=pretty)
+        registry.register(owner_type, proxy_factory(owner_type), label=label, pretty=pretty)
     return registry

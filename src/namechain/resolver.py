@@ -24,12 +24,16 @@ the initial resource itself does so, the engine literalizes nothing:
 the name goes over as it is, and the element behind it anchors the
 attributes to itself.
 
-A resolver that decodes the description it returns (to check it, or to
-compute the validity) may offer ``resolver_for(description)``: the
-resolver for the description its last resolve_local call returned, built
-from that decoding, or None.  When the name goes on past that description
-and the registry knows its type, the engine takes the next resolver from
-there instead of having the registry decode the same bytes again.
+A step that encodes the description it returns from values it holds
+(or decodes it, to check it or to compute the validity) may hand those
+values on: resolve_local may return a third element, the value the
+description's spec decodes to.  When the name goes on past that
+description and the registry has a constructor for its type
+(TypeRegistry.build), the engine builds the next resolver from the value,
+through the same constructor the type's factory calls after decoding,
+instead of decoding the bytes the step just wrote.  A step hands on only
+what it encoded or decoded itself, never a description it read from
+elsewhere; any other description goes through its type's factory.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Protocol
+from typing import Any, Callable, NamedTuple, Optional, Protocol
 
 from .names import MAX_NESTING, LocalName, Name, NameValue, ResourceValue, _build
 from .resources import ResourceDescription, TypeRegistry
@@ -86,6 +90,11 @@ class Resolution(NamedTuple):
 
     description: ResourceDescription
     validity: Validity
+
+
+# What one resolve_local call returns: a description and its validity,
+# optionally followed by the value the description's spec decodes to.
+StepResult = tuple[ResourceDescription, Validity] | tuple[ResourceDescription, Validity, Any]
 
 
 class ResolutionError(Exception):
@@ -177,12 +186,14 @@ class Resolver(Protocol):
     resolve_local receives a local name whose attribute values are all
     literal (tokens or resource descriptions, never nested names) and
     either returns a description plus the validity the resource assigns
-    to that one mapping, or raises NotBoundError.  A resolver that offers
-    resolve_name (see the module docstring) need not offer it: the
-    engine hands such a resolver every name whole.
+    to that one mapping, or raises NotBoundError.  It may add a third
+    element, the value the description's spec decodes to, which the engine
+    builds the next step's resolver from (see the module docstring).  A
+    resolver that offers resolve_name (see the module docstring) need not
+    offer resolve_local: the engine hands such a resolver every name whole.
     """
 
-    def resolve_local(self, local: LocalName) -> tuple[ResourceDescription, Validity]:
+    def resolve_local(self, local: LocalName) -> StepResult:
         ...
 
 
@@ -218,11 +229,6 @@ class _Budget:
     def __init__(self, ctx: ResolveContext) -> None:
         self.remaining = ctx.max_depth
         self.ctx = ctx
-
-    def spend(self) -> None:
-        if self.remaining <= 0:
-            raise DepthExceededError(self.ctx.max_depth)
-        self.remaining -= 1
 
 
 class _Scope(threading.local):
@@ -283,40 +289,45 @@ def _walk(
     `validity` is that of the attribute resolutions already made for the
     name (None if none); the result's validity intersects it with every
     step's.  A step, local or delegated, is one pass of the loop's `try`:
-    choose the resolver (resolver_for, as the module docstring says, else
-    the registry), spend one unit of the budget, resolve; any failure in
-    it carries that step unless it already knows a deeper one.
+    choose the resolver (built from the value the last step handed on,
+    as the module docstring says, else by the registry), spend one unit
+    of the budget, resolve; any failure in it carries that step unless it
+    already knows a deeper one.  Step i resolves the i-th local name.
     """
     resolver = ctx.initial
     chain = name.locals
+    last = len(chain) - 1
     step = 0
     while True:
         try:
             if step:
-                resolver_for = getattr(resolver, "resolver_for", None)
-                resolver = None
-                if resolver_for is not None and ctx.registry.knows(description.type_id):
-                    resolver = resolver_for(description)
+                resolver = None if handed is None else ctx.registry.build(description.type_id, handed)
                 if resolver is None and (resolver := ctx.registry.instantiate(description)) is None:
                     raise UnknownTypeError(description.type_id)
-            budget.spend()
+            if budget.remaining <= 0:
+                raise DepthExceededError(budget.ctx.max_depth)
+            budget.remaining -= 1
             resolve_name = getattr(resolver, "resolve_name", None)
             if resolve_name is None:
-                description, step_validity = resolver.resolve_local(chain[0])
-                chain = chain[1:]
+                result = resolver.resolve_local(chain[step])
+                if len(result) == 2:
+                    description, step_validity = result
+                    handed = None
+                else:
+                    description, step_validity, handed = result
             else:
                 # Whole-chain delegation: the element behind this resolver
                 # runs the same procedure itself, anchored to itself.
-                resolution = resolve_name(name if step == 0 else _build(Name, {"locals": chain}))
+                resolution = resolve_name(name if step == 0 else _build(Name, {"locals": chain[step:]}))
                 if validity is None:
                     return resolution
-                description, step_validity, chain = resolution.description, resolution.validity, ()
+                return Resolution(resolution.description, intersect(validity, resolution.validity))
         except ResolutionError as exc:
             if exc.step is None:
                 exc.step = step
             raise
         validity = step_validity if validity is None else intersect(validity, step_validity)
-        if not chain:
+        if step == last:
             return Resolution(description, validity)
         step += 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:
     from .resolver import Resolver
@@ -49,6 +49,8 @@ class ResourceDescription:
 
 
 ResolverFactory = Callable[[bytes], "Resolver"]
+# The constructor a factory calls with what it decoded from a spec.
+ResolverBuilder = Callable[[Any], "Resolver"]
 
 
 @dataclass
@@ -57,6 +59,7 @@ class RegistryEntry:
     usable: bool = False
     label: Optional[str] = None
     pretty: Optional[Callable[[bytes], str]] = None
+    build: Optional[ResolverBuilder] = None
 
 
 class TypeRegistry:
@@ -77,12 +80,18 @@ class TypeRegistry:
         usable: bool = False,
         label: str | None = None,
         pretty: Callable[[bytes], str] | None = None,
+        build: ResolverBuilder | None = None,
     ) -> None:
+        """Register `factory` for `type_id`.
+
+        `build`, when given, is the constructor `factory` calls after
+        decoding a spec: factory(spec) == build(<what factory decoded>).
+        """
         if not isinstance(type_id, bytes) or len(type_id) != TYPE_ID_LENGTH:
             raise ValueError(f"type identifier must be exactly {TYPE_ID_LENGTH} bytes")
         if type_id in self._entries:
             raise DuplicateTypeError(f"type {type_id.hex()} already registered")
-        self._entries[type_id] = RegistryEntry(factory, usable, label, pretty)
+        self._entries[type_id] = RegistryEntry(factory, usable, label, pretty, build)
 
     def knows(self, type_id: bytes) -> bool:
         return type_id in self._entries
@@ -117,6 +126,15 @@ class TypeRegistry:
         if entry is None:
             return None
         return entry.factory(description.spec)
+
+    def build(self, type_id: bytes, decoded: Any) -> "Resolver | None":
+        """The resolver for a description of type_id whose spec decodes to
+        `decoded`, built without decoding; None when the registry has no
+        constructor for the type."""
+        entry = self._entries.get(type_id)
+        if entry is None or entry.build is None:
+            return None
+        return entry.build(decoded)
 
     def type_ids(self) -> frozenset[bytes]:
         return frozenset(self._entries)

@@ -37,6 +37,11 @@ def _local(text: str) -> LocalName:
     return LocalName(text)
 
 
+def _handed_resolver(description, handed):
+    """The resolver a registry builds from what a step handed on."""
+    return kit.build_registry(FakeClock(), "127.0.0.1:7001").build(description.type_id, handed)
+
+
 # --- period arithmetic against a datetime oracle
 
 @pytest.mark.parametrize(
@@ -553,9 +558,10 @@ def test_file_set_codec_round_trips_and_refuses_every_other_spelling(files):
 def test_event_bindings(fake_clock):
     fields = _event_fields()
     resolver = kit.EventResolver(fields, fake_clock, "127.0.0.1:7001")
-    moderator, validity = resolver.resolve_local(_local("moderator"))
+    moderator, validity, handed = resolver.resolve_local(_local("moderator"))
     assert moderator == kit.user_description("127.0.0.1:7001", USER_A)
     assert validity == Validity(fake_clock() + kit.STATIC_TTL_MS)
+    assert isinstance(_handed_resolver(moderator, handed), kit.UserResolver)
     assert resolver.resolve_local(_local("location"))[0] == fields.location
     with pytest.raises(NotBoundError):
         resolver.resolve_local(_local("tags"))
@@ -563,19 +569,21 @@ def test_event_bindings(fake_clock):
 
 def test_event_files_with_common_prefix_become_a_collection(fake_clock):
     resolver = kit.EventResolver(_event_fields(), fake_clock, None)
-    description, _ = resolver.resolve_local(_local("files"))
+    description, _, handed = resolver.resolve_local(_local("files"))
     assert description == kit.file_collection_description("http://h/ev/")
+    assert isinstance(_handed_resolver(description, handed), kit.FileCollectionResolver)
 
 
 def test_event_files_without_common_prefix_become_a_file_set(fake_clock):
     fields = _event_fields(files=(("agenda", "http://h/one"), ("notes", "http://elsewhere/n")))
     resolver = kit.EventResolver(fields, fake_clock, None)
-    description, _ = resolver.resolve_local(_local("files"))
+    description, _, handed = resolver.resolve_local(_local("files"))
     assert description.type_id == kit.FILE_SET_TYPE
     assert kit.parse_file_set_spec(description.spec) == {
         "agenda": "http://h/one",
         "notes": "http://elsewhere/n",
     }
+    assert isinstance(_handed_resolver(description, handed), kit.FileSetResolver)
 
 
 def test_event_moderator_needs_a_user_database(fake_clock):
@@ -631,11 +639,12 @@ def test_time_period_picks_the_earliest_tagged_event(fake_clock):
     resolver = kit.TimePeriodResolver(
         "127.0.0.1:7003", T0, T0 + kit.DAY_MS, fake_clock, _store_query(events)
     )
-    description, validity = resolver.resolve_local(_local("meeting"))
+    description, validity, handed = resolver.resolve_local(_local("meeting"))
     assert description.type_id == kit.EVENT_TYPE
     assert kit.parse_event_spec(description.spec).start == nine
     # the event is in the future: the mapping holds until it starts
     assert validity == Validity(nine)
+    assert isinstance(_handed_resolver(description, handed), kit.EventResolver)
 
 
 def test_time_period_selection_matches_linear_scan_oracle(fake_clock):
@@ -645,13 +654,14 @@ def test_time_period_selection_matches_linear_scan_oracle(fake_clock):
     resolver = kit.TimePeriodResolver(
         "127.0.0.1:7003", T0, T0 + kit.DAY_MS, fake_clock, _store_query(events)
     )
-    description, _ = resolver.resolve_local(_local("meeting"))
+    description, _, handed = resolver.resolve_local(_local("meeting"))
     # oracle: brute-force scan for min (start, id)
     best = min((fields.start, eid) for eid, fields, _ in events)
     got = kit.parse_event_spec(description.spec)
     assert (got.start, description.spec) == (best[0], dict(
         ((f.start, e), s) for e, f, s in events
     )[best])
+    assert isinstance(_handed_resolver(description, handed), kit.EventResolver)
 
 
 def test_time_period_tag_lookup_has_a_validity_floor(fake_clock):
@@ -660,8 +670,9 @@ def test_time_period_tag_lookup_has_a_validity_floor(fake_clock):
     resolver = kit.TimePeriodResolver(
         "127.0.0.1:7003", kit.day_bounds(past)[0], T0 + kit.DAY_MS, fake_clock, _store_query(events)
     )
-    _, validity = resolver.resolve_local(_local("meeting"))
+    description, validity, handed = resolver.resolve_local(_local("meeting"))
     assert validity == Validity(fake_clock() + kit.PERIOD_TAG_MIN_TTL_MS)
+    assert isinstance(_handed_resolver(description, handed), kit.EventResolver)
 
 
 def test_time_period_unmatched_tag_is_not_bound(fake_clock):
@@ -734,6 +745,223 @@ def test_decoded_event_is_not_handed_to_a_registry_without_the_event_type(fake_c
     assert resolve(ctx, parse_name("(meeting)")).description.spec == spec
     with pytest.raises(UnknownTypeError):
         resolve(ctx, parse_name("(meeting location)"))
+
+
+# --- a step hands on what it built its description from
+
+USERDB = "127.0.0.1:7001"
+CALENDAR = "127.0.0.1:7003"
+FILE_NAMES = ("agenda.txt", "notes.txt", "slides")
+
+
+@st.composite
+def _handoff_worlds(draw):
+    """An event, the file prefix of every user, a location's occupants, a
+    period name and whether the events query answers decoded fields, drawn
+    so that every hand-off of the kit can happen."""
+    names = draw(st.lists(st.sampled_from(FILE_NAMES), unique=True, max_size=3))
+    if draw(st.booleans()):  # a common prefix: a file collection
+        prefix = draw(st.sampled_from(("http://h/ev/", "http://h/")))
+        files = tuple((name, prefix + name) for name in names)
+    else:  # none: a file set
+        files = tuple((name, f"http://h{i}.example/f{i}") for i, name in enumerate(names))
+    moderator = draw(st.binary(min_size=16, max_size=16))
+    start = T0 + draw(st.integers(-kit.DAY_MS, kit.DAY_MS))
+    fields = kit.EventFields(
+        tuple(draw(st.lists(st.sampled_from(("meeting", "review")), unique=True, max_size=2))),
+        moderator,
+        kit.location_description("127.0.0.1:7002", LOC_A),
+        files,
+        start,
+        start + draw(st.integers(1, kit.DAY_MS)),
+    )
+    prefix = draw(st.sampled_from(("http://f/a/", "http://f/")))
+    occupants = draw(st.lists(st.sampled_from((USER_A, moderator)), unique=True, min_size=1))
+    return fields, prefix, occupants, draw(st.sampled_from(kit.PERIOD_NAMES)), draw(st.booleans())
+
+
+def _outcome(resolver, local):
+    """What resolve_local gives for `local`: the result, or the class and
+    local name of the error."""
+    try:
+        description, validity, *handed = resolver.resolve_local(_local(local))
+    except Exception as exc:
+        return type(exc), getattr(exc, "local", None)
+    return description.to_bytes(), validity, handed
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=_handoff_worlds())
+def test_a_handed_on_resolver_answers_as_the_decoded_one(world):
+    fields, prefix, occupants, period_name, decoded_by_the_query = world
+    clock = FakeClock()
+    spec = kit.encode_event_spec(fields)
+
+    def events_query(address, start, end, tag):
+        assert address == CALENDAR
+        if tag in fields.tags and start <= fields.start < end:
+            return [(spec, None if decoded_by_the_query else fields)]
+        return []
+
+    def user_fetch(address, user_id):
+        assert address == USERDB
+        return f"{user_id.hex()}@example.org", prefix
+
+    registry = kit.build_registry(clock, USERDB, events_query=events_query, user_fetch=user_fetch)
+    event = registry.instantiate(kit.event_description(fields))
+    steps = [
+        (kit.CalendarResolver(CALENDAR, clock), period_name),
+        (registry.instantiate(kit.time_period_description(CALENDAR, *kit.week_bounds(clock()))), "meeting"),
+        (event, "moderator"),
+        (event, "files"),
+        (kit.LocationStateResolver(lambda: occupants, USERDB, clock), "occupant"),
+        (registry.instantiate(kit.user_description(USERDB, fields.moderator)), "files"),
+    ]
+    probes = (
+        "email", "files", *FILE_NAMES, "unlisted", "meeting", "moderator", "location", "occupant", "bogus"
+    )
+    handed_on = 0
+    for step, local in steps:
+        try:
+            description, _, handed = step.resolve_local(_local(local))
+        except NotBoundError:  # no event in the period carries the tag
+            assert local == "meeting"
+            continue
+        handed_on += 1
+        built, decoded = registry.build(description.type_id, handed), registry.instantiate(description)
+        assert type(built) is type(decoded)
+        for probe in probes:
+            assert _outcome(built, probe) == _outcome(decoded, probe), (local, probe)
+    assert handed_on >= len(steps) - 1
+
+
+def _common_prefix_event():
+    return kit.event_description(_event_fields())
+
+
+def _file_set_event():
+    return kit.event_description(
+        _event_fields(files=(("agenda.txt", "http://h/one"), ("notes.txt", "http://elsewhere/n")))
+    )
+
+
+# (type left out of the registry, the initial resource, a name whose step
+# 1 resolves from a description of that type)
+HANDED_TYPES = [
+    (kit.TIME_PERIOD_TYPE, lambda registry: kit.CalendarResolver(CALENDAR, FakeClock()), "(today meeting)"),
+    (
+        kit.EVENT_TYPE,
+        lambda registry: registry.instantiate(kit.time_period_description(CALENDAR, T0, T0 + kit.DAY_MS)),
+        "(meeting location)",
+    ),
+    (kit.USER_TYPE, lambda registry: registry.instantiate(_common_prefix_event()), "(moderator email)"),
+    (
+        kit.USER_TYPE,
+        lambda registry: kit.LocationStateResolver(lambda: [USER_A], USERDB, FakeClock()),
+        "(occupant email)",
+    ),
+    (
+        kit.FILE_COLLECTION_TYPE,
+        lambda registry: registry.instantiate(_common_prefix_event()),
+        "(files agenda.txt)",
+    ),
+    (
+        kit.FILE_COLLECTION_TYPE,
+        lambda registry: registry.instantiate(kit.user_description(USERDB, USER_A)),
+        "(files naming.ppt)",
+    ),
+    (kit.FILE_SET_TYPE, lambda registry: registry.instantiate(_file_set_event()), "(files agenda.txt)"),
+]
+
+
+@pytest.mark.parametrize(
+    "left_out,initial,text",
+    HANDED_TYPES,
+    ids=[
+        "time-period", "event", "user-moderator", "user-occupant",
+        "collection-event", "collection-user", "file-set",
+    ],
+)
+def test_a_registry_without_the_handed_type_refuses_it_at_its_step(fake_clock, left_out, initial, text):
+    spec = kit.encode_event_spec(_event_fields(start=T0 + 1))
+    full = kit.build_registry(
+        fake_clock,
+        USERDB,
+        events_query=lambda *a: [(spec, None)],
+        user_fetch=lambda address, user_id: ("alice@example.org", "http://files/alice/"),
+    )
+    resolve(ResolveContext(full, initial(full), fake_clock), parse_name(text))
+    restricted = full.without(left_out)
+    with pytest.raises(UnknownTypeError) as excinfo:
+        resolve(ResolveContext(restricted, initial(restricted), fake_clock), parse_name(text))
+    assert excinfo.value.type_id == left_out
+    assert excinfo.value.step == 1
+
+
+def test_a_stored_location_literal_is_decoded_by_its_type(fake_clock):
+    # A calendar spec with no address: the calendar's factory refuses it
+    # at step 1, although the event step built the rest of its output.
+    location = ResourceDescription(kit.CALENDAR_TYPE, b"no address")
+    event = kit.event_description(kit.EventFields((), bytes(16), location, (), 0, 1))
+    registry = kit.build_registry(fake_clock, USERDB)
+    ctx = ResolveContext(registry, registry.instantiate(event), fake_clock)
+    with pytest.raises(MalformedSpecError) as excinfo:
+        resolve(ctx, parse_name("(location today)"))
+    assert excinfo.value.type_id == kit.CALENDAR_TYPE
+    assert excinfo.value.step == 1
+
+
+def _count_decodes(monkeypatch):
+    """The labels of the time-period, user and file-set specs decoded, in order."""
+    decoded = []
+    time_period, file_set = kit.parse_time_period_spec, kit.parse_file_set_spec
+    addr_id = wire.parse_addr_id_spec
+
+    def parse_time_period_spec(spec):
+        decoded.append("time-period")
+        return time_period(spec)
+
+    def parse_addr_id_spec(spec, owner_type):
+        if owner_type == kit.USER_TYPE:
+            decoded.append("user")
+        return addr_id(spec, owner_type)
+
+    def parse_file_set_spec(spec):
+        decoded.append("file-set")
+        return file_set(spec)
+
+    monkeypatch.setattr(kit, "parse_time_period_spec", parse_time_period_spec)
+    monkeypatch.setattr(wire, "parse_addr_id_spec", parse_addr_id_spec)
+    monkeypatch.setattr(kit, "parse_file_set_spec", parse_file_set_spec)
+    return decoded
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_a_server_decodes_no_spec_its_own_steps_wrote(fake_deployment, monkeypatch, scenario):
+    spec = SCENARIOS[scenario]
+    initial = fake_deployment.cfg.initial_description(spec.initial_alias)
+    _, resource_id = wire.parse_addr_id_spec(initial.spec, initial.type_id)
+    decoded = _count_decodes(monkeypatch)
+    server = fake_deployment.servers[spec.initial_alias]
+    (line,) = server.process_line(f"RESOLVE {resource_id.hex()} {spec.name_text}")
+    assert decoded == []
+    expected = manual_discover(fake_deployment.cfg, scenario, clock=fake_deployment.clock)
+    assert wire.parse_ok_resolution(line.split(" ")).description == expected
+
+
+def test_a_chain_from_an_event_decodes_only_the_event(fake_clock, monkeypatch):
+    registry = kit.build_registry(
+        fake_clock, USERDB, user_fetch=lambda address, user_id: ("alice@example.org", "http://files/alice/")
+    )
+    events = _count_event_decodes(monkeypatch)
+    decoded = _count_decodes(monkeypatch)
+    event = kit.event_description(_event_fields())
+    ctx = ResolveContext(registry, registry.instantiate(event), fake_clock)
+    assert resolve(ctx, parse_name("(moderator files x)")).description == kit.file_description(
+        "http://files/alice/x"
+    )
+    assert events == [event.spec]
+    assert decoded == []
 
 
 # --- a calendar server resolves from the events it decoded when built
@@ -868,7 +1096,7 @@ def test_resolvers_check_the_address_they_describe_with_once_when_built(build):
 
 def test_calendar_today_computed_from_injected_clock(fake_clock):
     resolver = kit.CalendarResolver("127.0.0.1:7003", fake_clock)
-    description, validity = resolver.resolve_local(_local("today"))
+    description, validity, handed = resolver.resolve_local(_local("today"))
     address, start, end = kit.parse_time_period_spec(description.spec)
     oracle = datetime.fromtimestamp(fake_clock() / 1000, tz=timezone.utc)
     midnight = oracle.replace(hour=0, minute=0, second=0, microsecond=0)
@@ -876,15 +1104,17 @@ def test_calendar_today_computed_from_injected_clock(fake_clock):
     assert start == int(midnight.timestamp() * 1000)
     assert end == start + kit.DAY_MS
     assert validity == Validity(end)  # the name drifts when the day rolls over
+    assert isinstance(_handed_resolver(description, handed), kit.TimePeriodResolver)
 
 
 def test_calendar_other_period_names(fake_clock):
     resolver = kit.CalendarResolver("127.0.0.1:7003", fake_clock)
     for name in ("tomorrow", "thisweek"):
-        description, validity = resolver.resolve_local(_local(name))
+        description, validity, handed = resolver.resolve_local(_local(name))
         _, start, end = kit.parse_time_period_spec(description.spec)
         assert kit.period_bounds(name, fake_clock()) == (start, end)
         assert validity == Validity(end)
+        assert isinstance(_handed_resolver(description, handed), kit.TimePeriodResolver)
     with pytest.raises(NotBoundError):
         resolver.resolve_local(_local("yesterday"))
 
@@ -915,9 +1145,10 @@ def test_user_bindings(fake_clock):
 def test_location_occupant_binding(fake_clock):
     occupants = [USER_A]
     resolver = kit.LocationStateResolver(lambda: list(occupants), "127.0.0.1:7001", fake_clock)
-    description, validity = resolver.resolve_local(_local("occupant"))
+    description, validity, handed = resolver.resolve_local(_local("occupant"))
     assert description == kit.user_description("127.0.0.1:7001", USER_A)
     assert validity == Validity(fake_clock() + kit.OCCUPANT_TTL_MS)
+    assert isinstance(_handed_resolver(description, handed), kit.UserResolver)
 
 
 def test_location_earliest_arrival_wins(fake_clock):
@@ -925,8 +1156,9 @@ def test_location_earliest_arrival_wins(fake_clock):
     resolver = kit.LocationStateResolver(
         lambda: [USER_A, second], "127.0.0.1:7001", fake_clock
     )
-    description, _ = resolver.resolve_local(_local("occupant"))
+    description, _, handed = resolver.resolve_local(_local("occupant"))
     assert description == kit.user_description("127.0.0.1:7001", USER_A)
+    assert isinstance(_handed_resolver(description, handed), kit.UserResolver)
 
 
 def test_empty_location_is_not_bound(fake_clock):
