@@ -29,6 +29,13 @@ expression match.  Any other name goes to a recursive descent over
 checked, and shares the resource literal rule with
 parse_resource_literal.
 
+Each name is serialized at most once.  The grammar admits no spelling
+of a name but its canonical one apart from extra spaces, so a parsed
+name whose text holds no two adjacent spaces keeps that text as its
+serialization; any other name keeps what its first serialization
+computed.  A cache key and a RESOLVE line for a parsed canonical name
+thus cost a lookup, not a pass over its local names.
+
 Names nest at most MAX_NESTING deep, a name with no name-valued
 attribute being 1 deep.  Each level spends at least one resolution
 step, so the limit is the resolver's default step budget: it rejects no
@@ -52,6 +59,8 @@ _PLAIN_NAME_RE = re.compile(r"\(([A-Za-z0-9._-]+(?: +[A-Za-z0-9._-]+)*)\)")
 # A resource literal; the parser checks that the specification's length is even.
 _LITERAL_RE = re.compile(r"\[([0-9a-f]{64}) ([0-9a-f]*)\]")
 MAX_NESTING = 32
+# Where a Name keeps its canonical text, once known (see serialize_name).
+_TEXT = "_text"
 
 
 class NameSyntaxError(ValueError):
@@ -299,15 +308,19 @@ def parse_name(text: str) -> Name:
         locals_ = []
         for token in plain[1].split():
             local = new(LocalName)
-            local.__dict__.update(primary=token, attributes=())
+            fields = local.__dict__
+            fields["primary"] = token
+            fields["attributes"] = ()
             locals_.append(local)
         name = new(Name)
         name.__dict__["locals"] = tuple(locals_)
-        return name
-    if text[:1] != "(":
-        raise NameSyntaxError(0, "expected '('")
-    name, pos = _name(text, 0, 1)
-    _finish(text, pos)
+    else:
+        if text[:1] != "(":
+            raise NameSyntaxError(0, "expected '('")
+        name, pos = _name(text, 0, 1)
+        _finish(text, pos)
+    if "  " not in text:  # then the text is canonical (module docstring)
+        name.__dict__[_TEXT] = text
     return name
 
 
@@ -338,5 +351,15 @@ def _serialize_local(local: LocalName) -> str:
 
 
 def serialize_name(name: Name) -> str:
-    """Render a name in canonical syntax; inverse of parse_name."""
-    return "(" + " ".join([_serialize_local(local) for local in name.locals]) + ")"
+    """Render a name in canonical syntax; inverse of parse_name.
+
+    A name's text is worked out at most once: parse_name records the text
+    it read when that text is canonical, and any other name records what
+    its first serialization computed.  The record is not a field, so it
+    takes no part in equality, hashing or repr.
+    """
+    fields = name.__dict__
+    text = fields.get(_TEXT)
+    if text is None:
+        text = fields[_TEXT] = "(" + " ".join([_serialize_local(local) for local in name.locals]) + ")"
+    return text

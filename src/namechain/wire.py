@@ -500,7 +500,9 @@ class _ConnectionPool:
 
     def release(self, address: str, conn: LineConnection) -> None:
         with self._lock:
-            queue = self._idle.setdefault(address, deque())
+            queue = self._idle.get(address)
+            if queue is None:
+                queue = self._idle[address] = deque()
             if len(queue) < _MAX_IDLE_PER_ADDRESS:
                 queue.append(conn)
                 return

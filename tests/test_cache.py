@@ -7,6 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import FakeClock, Graph, node_description
 
+from namechain import kit, names
 from namechain.cache import NameCache, cached_resolve
 from namechain.names import LocalName, Name, parse_name, serialize_name
 from namechain.resolver import Resolution, ResolveContext, Validity
@@ -219,6 +220,49 @@ def test_cached_resolve_misses_once_an_attribute_mapping_expires():
     assert cached_resolve(ctx, cache, name) is first  # served from cache
     clock.advance(1)
     assert cache.get(name, clock()) is None  # so cached_resolve resolves again
+
+
+def test_spellings_of_one_name_share_one_entry():
+    cache = NameCache(capacity=4)
+    cache.put(parse_name("(a  b)"), _resolution("ab", T0 + 1_000), now=T0)
+    assert cache.get(parse_name("(a b)"), now=T0) == _resolution("ab", T0 + 1_000)
+    cache.put(Name((LocalName("a"), LocalName("b"))), _resolution("new", T0 + 1_000), now=T0)
+    assert len(cache) == 1
+    assert cache.get(parse_name("(a  b)"), now=T0).description == node_description("new")
+
+
+@pytest.mark.parametrize(
+    "initial,text,spaced",
+    [
+        ("calendar", "(today meeting moderator email)", "(today  meeting moderator   email)"),
+        ("location", "(occupant files naming.ppt)", "(occupant files  naming.ppt)"),
+    ],
+)
+def test_a_name_is_serialized_at_most_once(deployment, monkeypatch, initial, text, spaced):
+    """A miss (get, RESOLVE line, put) and a hit on a parsed canonical name
+    serialize nothing; the same name with extra spaces is serialized once."""
+    passes = []
+    serialize_local = names._serialize_local
+    monkeypatch.setattr(names, "_serialize_local", lambda local: passes.append(local) or serialize_local(local))
+    registry = kit.build_registry(deployment.clock, deployment.cfg.addresses["userdb"])
+    ctx = ResolveContext(
+        registry=registry,
+        initial=registry.instantiate(deployment.cfg.initial_description(initial)),
+        clock=deployment.clock,
+    )
+    cache = NameCache()
+    resolves = deployment.servers[initial].stats["RESOLVE"]
+
+    first = cached_resolve(ctx, cache, parse_name(text))
+    assert cached_resolve(ctx, cache, parse_name(text)) is first
+    assert deployment.servers[initial].stats["RESOLVE"] == resolves + 1
+    assert passes == []
+
+    cache.clear()
+    name = parse_name(spaced)
+    assert cached_resolve(ctx, cache, name).description == first.description
+    assert cached_resolve(ctx, cache, name) is cached_resolve(ctx, cache, parse_name(text))
+    assert passes == list(name.locals)
 
 
 class _SegmentedLRUModel:

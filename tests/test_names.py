@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import nested_name
 
+from namechain import names
 from namechain.names import (
     MAX_NESTING,
     EmptyNameError,
@@ -256,6 +257,38 @@ def test_round_trip_is_identity(name):
     assert parse_name(serialize_name(name)) == name
 
 
+# A separator between local names, at any depth: a space that does not
+# follow a resource literal's 64-digit type identifier.
+_SEPARATOR_RE = re.compile(r"(?<![0-9a-f]{64}) ")
+
+
+@given(_names_strategy(), st.lists(st.integers(min_value=1, max_value=3)))
+def test_recorded_text_is_what_the_serializer_computes(name, widths):
+    """parse_name's recorded text never changes what serialize_name returns.
+
+    A Name rebuilt through the public constructor carries no record, so
+    serialize_name works its text out from the parts.
+    """
+    widths = iter(widths)
+    text = _SEPARATOR_RE.sub(lambda _: " " * next(widths, 1), serialize_name(name))
+    parsed = parse_name(text)
+    assert serialize_name(parsed) == serialize_name(Name(parsed.locals)) == re.sub(" +", " ", text)
+
+
+def test_a_name_with_extra_spaces_records_its_canonical_text_once_serialized(monkeypatch):
+    name = parse_name("(printer  administrator   queue)")
+    assert names._TEXT not in vars(name)
+    passes = []
+    monkeypatch.setattr(names, "_serialize_local", lambda local: passes.append(local) or local.primary)
+    assert serialize_name(name) == "(printer administrator queue)"
+    assert serialize_name(name) == "(printer administrator queue)"
+    assert len(passes) == 3
+    assert vars(name)[names._TEXT] == "(printer administrator queue)"
+    constructed = Name((LocalName("printer"), LocalName("administrator"), LocalName("queue")))
+    assert name == constructed and hash(name) == hash(constructed)
+    assert repr(name) == repr(constructed)
+
+
 _LITERAL = "[" + "ab" * 32 + " 00ff]"
 _INNER = Name(
     (LocalName("y"), LocalName("z", (("q", ResourceValue(parse_resource_literal(_LITERAL))),)))
@@ -315,3 +348,4 @@ def test_every_prefix_and_one_character_edit_parses_canonically_or_raises_a_synt
         except NameSyntaxError:
             continue
         assert serialize_name(name) == re.sub(" +", " ", text)
+        assert serialize_name(Name(name.locals)) == serialize_name(name)
