@@ -22,9 +22,9 @@ Keys are the canonical serialization of the name exactly as the consumer
 wrote it.  Name-valued attributes make that text context-dependent, so a
 cache must stay private to one resource; embedded that way, identical
 lookups can be answered without repeating slow resolution work.  A key
-costs no serialization for a name parsed from canonical text, which
-keeps that text, and one pass over its local names for any other name,
-which keeps the result for its later lookups and its RESOLVE line.
+costs no pass over the local names of a name without attributes parsed
+from canonical text, which keeps that text (see names.serialize_name);
+any other name is serialized for each lookup.
 """
 
 from __future__ import annotations

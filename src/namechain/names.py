@@ -29,12 +29,12 @@ expression match.  Any other name goes to a recursive descent over
 checked, and shares the resource literal rule with
 parse_resource_literal.
 
-Each name is serialized at most once.  The grammar admits no spelling
-of a name but its canonical one apart from extra spaces, so a parsed
-name whose text holds no two adjacent spaces keeps that text as its
-serialization; any other name keeps what its first serialization
-computed.  A cache key and a RESOLVE line for a parsed canonical name
-thus cost a lookup, not a pass over its local names.
+A name without attributes parsed from canonical text keeps that text
+as its serialization.  The grammar admits no other spelling of such a
+name than one with extra spaces, so text holding no two adjacent spaces
+is canonical.  A cache key and a RESOLVE line for that name thus cost a
+lookup, not a pass over its local names; any other name is rendered
+from its parts each time it is serialized.
 
 Names nest at most MAX_NESTING deep, a name with no name-valued
 attribute being 1 deep.  Each level spends at least one resolution
@@ -59,7 +59,7 @@ _PLAIN_NAME_RE = re.compile(r"\(([A-Za-z0-9._-]+(?: +[A-Za-z0-9._-]+)*)\)")
 # A resource literal; the parser checks that the specification's length is even.
 _LITERAL_RE = re.compile(r"\[([0-9a-f]{64}) ([0-9a-f]*)\]")
 MAX_NESTING = 32
-# Where a Name keeps its canonical text, once known (see serialize_name).
+# Where a parsed plain Name keeps its canonical text (see serialize_name).
 _TEXT = "_text"
 
 
@@ -314,13 +314,13 @@ def parse_name(text: str) -> Name:
             locals_.append(local)
         name = new(Name)
         name.__dict__["locals"] = tuple(locals_)
-    else:
-        if text[:1] != "(":
-            raise NameSyntaxError(0, "expected '('")
-        name, pos = _name(text, 0, 1)
-        _finish(text, pos)
-    if "  " not in text:  # then the text is canonical (module docstring)
-        name.__dict__[_TEXT] = text
+        if "  " not in text:  # then the text is canonical (module docstring)
+            name.__dict__[_TEXT] = text
+        return name
+    if text[:1] != "(":
+        raise NameSyntaxError(0, "expected '('")
+    name, pos = _name(text, 0, 1)
+    _finish(text, pos)
     return name
 
 
@@ -353,13 +353,9 @@ def _serialize_local(local: LocalName) -> str:
 def serialize_name(name: Name) -> str:
     """Render a name in canonical syntax; inverse of parse_name.
 
-    A name's text is worked out at most once: parse_name records the text
-    it read when that text is canonical, and any other name records what
-    its first serialization computed.  The record is not a field, so it
-    takes no part in equality, hashing or repr.
+    A name parsed from canonical text without attributes answers with the
+    text parse_name recorded; any other name is rendered from its parts.
+    The record is not a field, so it takes no part in equality, hashing or
+    repr.
     """
-    fields = name.__dict__
-    text = fields.get(_TEXT)
-    if text is None:
-        text = fields[_TEXT] = "(" + " ".join([_serialize_local(local) for local in name.locals]) + ")"
-    return text
+    return name.__dict__.get(_TEXT) or "(" + " ".join([_serialize_local(local) for local in name.locals]) + ")"

@@ -500,9 +500,7 @@ class _ConnectionPool:
 
     def release(self, address: str, conn: LineConnection) -> None:
         with self._lock:
-            queue = self._idle.get(address)
-            if queue is None:
-                queue = self._idle[address] = deque()
+            queue = self._idle.setdefault(address, deque())
             if len(queue) < _MAX_IDLE_PER_ADDRESS:
                 queue.append(conn)
                 return

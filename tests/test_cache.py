@@ -232,15 +232,12 @@ def test_spellings_of_one_name_share_one_entry():
 
 
 @pytest.mark.parametrize(
-    "initial,text,spaced",
-    [
-        ("calendar", "(today meeting moderator email)", "(today  meeting moderator   email)"),
-        ("location", "(occupant files naming.ppt)", "(occupant files  naming.ppt)"),
-    ],
+    "initial,text",
+    [("calendar", "(today meeting moderator email)"), ("location", "(occupant files naming.ppt)")],
 )
-def test_a_name_is_serialized_at_most_once(deployment, monkeypatch, initial, text, spaced):
+def test_a_parsed_canonical_name_is_never_serialized(deployment, monkeypatch, initial, text):
     """A miss (get, RESOLVE line, put) and a hit on a parsed canonical name
-    serialize nothing; the same name with extra spaces is serialized once."""
+    make no pass over its local names."""
     passes = []
     serialize_local = names._serialize_local
     monkeypatch.setattr(names, "_serialize_local", lambda local: passes.append(local) or serialize_local(local))
@@ -257,12 +254,6 @@ def test_a_name_is_serialized_at_most_once(deployment, monkeypatch, initial, tex
     assert cached_resolve(ctx, cache, parse_name(text)) is first
     assert deployment.servers[initial].stats["RESOLVE"] == resolves + 1
     assert passes == []
-
-    cache.clear()
-    name = parse_name(spaced)
-    assert cached_resolve(ctx, cache, name).description == first.description
-    assert cached_resolve(ctx, cache, name) is cached_resolve(ctx, cache, parse_name(text))
-    assert passes == list(name.locals)
 
 
 class _SegmentedLRUModel:
