@@ -29,7 +29,8 @@ fields in the order above, integers as str() writes them (no padding
 zero, no "-0").  Every encoder refuses what its decoder refuses, text
 that is not UTF-8 included, so decoding what it writes gives back what
 it was given; the text encoders raise MalformedSpecError with their
-decoders' reasons.  Pretty-printers decode through the same decoders.
+decoders' reasons.  A type's rendering for the command line renders
+what its decoder gives, so it accepts exactly the specs its resolvers do.
 An event spec decodes in one match of a pattern of the encoder's
 output; only a spec the pattern refuses is walked line by line, and
 that walk only names the reason.
@@ -45,11 +46,11 @@ user type's resolver fetches the record and maps local names client-side.
 A step hands on what it built its description from (see resolver): the
 calendar its period, a time period its event's fields, an event its
 moderator and its files, a location its occupant, a user its file
-prefix.  The registry's constructor for the type turns that value into
-the next resolver, as its factory does after decoding, so a chain spends
+prefix.  The type's one constructor builds the next resolver from that
+value, as it does from what the type's decoder gives, so a chain spends
 no decode on a spec its own step wrote.  A description read from
 elsewhere (an event's stored location, an initial resource) is decoded
-by its type's factory; an event spec that came over the wire is decoded
+by its type's decoder; an event spec that came over the wire is decoded
 by the time-period step, which needs its start, and handed on decoded.
 
 Validity policy: static data lives 24 hours, calendar period names until
@@ -60,7 +61,6 @@ least 10 minutes), location occupancy 30 seconds, user record mappings
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -507,7 +507,7 @@ class EventResolver:
             user = (self.userdb_address, self.fields.moderator)
             return _user_description(*user), validity, user
         if local.primary == "location":
-            # A stored literal: its type's factory decodes it.
+            # A stored literal: its type's decoder decodes it.
             return self.fields.location, validity
         if local.primary == "files":
             files = self.fields.files
@@ -621,45 +621,7 @@ class LocationStateResolver:
         return _user_description(*user), validity_from_duration(self.clock(), OCCUPANT_TTL_MS), user
 
 
-# --- pretty-printers for the command line
-
-def _pretty_string(spec: bytes) -> str:
-    return f'string "{_decode_utf8(spec, STRING_TYPE)}"'
-
-
-def _pretty_file(spec: bytes) -> str:
-    return f"file {_decode_url(spec, FILE_TYPE)}"
-
-
-def _pretty_collection(spec: bytes) -> str:
-    return f"file collection with prefix {_decode_url(spec, FILE_COLLECTION_TYPE)}"
-
-
-def _pretty_file_set(spec: bytes) -> str:
-    files = parse_file_set_spec(spec)
-    return f"file set of {len(files)}: {', '.join(sorted(files))}"
-
-
-def _pretty_addr_id(owner_type: bytes, wording: str, spec: bytes) -> str:
-    # For the "host:port <id>" types; wording holds {id} and {address}.
-    address, entity_id = wire.parse_addr_id_spec(spec, owner_type)
-    return wording.format(id=entity_id.hex(), address=address)
-
-
-_pretty_user = functools.partial(_pretty_addr_id, USER_TYPE, "user {id} in database at {address}")
-
-
-def _pretty_calendar(spec: bytes) -> str:
-    return f"calendar at {parse_calendar_spec(spec)}"
-
-
-def _pretty_time_period(spec: bytes) -> str:
-    address, start, end = parse_time_period_spec(spec)
-    return f"time period [{start}, {end}) on calendar at {address}"
-
-
-def _pretty_event(spec: bytes) -> str:
-    fields = parse_event_spec(spec)
+def _pretty_event(fields: EventFields) -> str:
     tags = ",".join(fields.tags) or "untagged"
     return f"event tagged {tags}, start={fields.start}, end={fields.end}"
 
@@ -678,13 +640,16 @@ def build_registry(
     live.  events_query and user_fetch default to wire queries and exist
     so servers can short-circuit lookups into their own state (and tests
     can avoid sockets); a calendar server's query answers its events with
-    the fields it encoded at start-up.  Each type a step hands on to
-    registers, beside its factory, the constructor the factory calls after
-    decoding (TypeRegistry.build), so a handed-on resolver gets this
+    the fields it encoded at start-up.  Each type registers its decoder,
+    its one constructor and its rendering for the command line; the
+    constructors give every resolver, handed-on ones included, this
     registry's clock, userdb_address, events_query and user_fetch.  The
     registry sets no timeout: each wire request its resolvers make has
     that of the resolution it is a step of (ResolveContext.timeout), so
     one registry serves requests with different limits.
+
+    Each decoder is looked up as it is called, so a wrapper put on a
+    module's decoder after the registry is built is used.
     """
     if userdb_address is not None:
         wire.parse_address(userdb_address)
@@ -692,73 +657,37 @@ def build_registry(
         user_fetch = wire.get_user
 
     registry = TypeRegistry()
-
-    # The constructors of the types whose steps hand on what a spec
-    # decodes to; each factory below decodes, then calls its type's.
-    def time_period_resolver(period: tuple[str, int, int]) -> TimePeriodResolver:
-        return TimePeriodResolver(*period, clock, events_query)
-
-    def event_resolver(fields: EventFields) -> EventResolver:
-        return EventResolver(fields, clock, userdb_address)
-
-    def user_resolver(user: tuple[str, bytes]) -> UserResolver:
-        return UserResolver(*user, clock, user_fetch)
-
-    def collection_resolver(url_prefix: str) -> FileCollectionResolver:
-        return FileCollectionResolver(url_prefix, clock)
-
-    def file_set_resolver(files: dict[str, str]) -> FileSetResolver:
-        return FileSetResolver(files, clock)
-
-    def string_factory(spec: bytes) -> EmptyNamespaceResolver:
-        _decode_utf8(spec, STRING_TYPE)
-        return EmptyNamespaceResolver("string")
-
-    def file_factory(spec: bytes) -> EmptyNamespaceResolver:
-        _decode_url(spec, FILE_TYPE)
-        return EmptyNamespaceResolver("file")
-
-    def collection_factory(spec: bytes) -> FileCollectionResolver:
-        return collection_resolver(_decode_url(spec, FILE_COLLECTION_TYPE))
-
-    def file_set_factory(spec: bytes) -> FileSetResolver:
-        return file_set_resolver(parse_file_set_spec(spec))
-
-    def proxy_factory(owner_type: bytes) -> Callable[[bytes], wire.RemoteResolver]:
-        # "host:port <id>" names a resource its element resolves natively.
-        def factory(spec: bytes) -> wire.RemoteResolver:
-            address, resource_id = wire.parse_addr_id_spec(spec, owner_type)
-            return wire.RemoteResolver(address, resource_id)
-
-        return factory
-
-    def calendar_factory(spec: bytes) -> wire.RemoteResolver:
-        return wire.RemoteResolver(parse_calendar_spec(spec), CALENDAR_RESOURCE_ID)
-
-    def time_period_factory(spec: bytes) -> TimePeriodResolver:
-        return time_period_resolver(parse_time_period_spec(spec))
-
-    def event_factory(spec: bytes) -> EventResolver:
-        return event_resolver(parse_event_spec(spec))
-
-    def user_factory(spec: bytes) -> UserResolver:
-        return user_resolver(wire.parse_addr_id_spec(spec, USER_TYPE))
-
-    registry.register(STRING_TYPE, string_factory, usable=True, label="string", pretty=_pretty_string)
-    registry.register(FILE_TYPE, file_factory, usable=True, label="file", pretty=_pretty_file)
-    registry.register(CALENDAR_TYPE, calendar_factory, label="calendar", pretty=_pretty_calendar)
-    for owner_type, label, factory, build, pretty in (
-        (FILE_COLLECTION_TYPE, "file-collection", collection_factory, collection_resolver, _pretty_collection),
-        (FILE_SET_TYPE, "file-set", file_set_factory, file_set_resolver, _pretty_file_set),
-        (TIME_PERIOD_TYPE, "time-period", time_period_factory, time_period_resolver, _pretty_time_period),
-        (EVENT_TYPE, "event", event_factory, event_resolver, _pretty_event),
-        (USER_TYPE, "user", user_factory, user_resolver, _pretty_user),
+    # type, label, decode(spec), build(value), render(value)
+    for type_id, label, decode, build, render in (
+        (STRING_TYPE, "string", lambda spec: _decode_utf8(spec, STRING_TYPE),
+         lambda text: EmptyNamespaceResolver("string"), lambda text: f'string "{text}"'),
+        (FILE_TYPE, "file", lambda spec: _decode_url(spec, FILE_TYPE),
+         lambda url: EmptyNamespaceResolver("file"), lambda url: f"file {url}"),
+        (FILE_COLLECTION_TYPE, "file-collection", lambda spec: _decode_url(spec, FILE_COLLECTION_TYPE),
+         lambda prefix: FileCollectionResolver(prefix, clock),
+         lambda prefix: f"file collection with prefix {prefix}"),
+        (FILE_SET_TYPE, "file-set", lambda spec: parse_file_set_spec(spec),
+         lambda files: FileSetResolver(files, clock),
+         lambda files: f"file set of {len(files)}: {', '.join(sorted(files))}"),
+        # Locations and calendars resolve on their servers, through the proxy.
+        (LOCATION_TYPE, "location", lambda spec: wire.parse_addr_id_spec(spec, LOCATION_TYPE),
+         lambda target: wire.RemoteResolver(*target),
+         lambda target: f"location {target[1].hex()} managed at {target[0]}"),
+        (CALENDAR_TYPE, "calendar", lambda spec: parse_calendar_spec(spec),
+         lambda address: wire.RemoteResolver(address, CALENDAR_RESOURCE_ID),
+         lambda address: f"calendar at {address}"),
+        (TIME_PERIOD_TYPE, "time-period", lambda spec: parse_time_period_spec(spec),
+         lambda period: TimePeriodResolver(*period, clock, events_query),
+         lambda period: f"time period [{period[1]}, {period[2]}) on calendar at {period[0]}"),
+        (EVENT_TYPE, "event", lambda spec: parse_event_spec(spec),
+         lambda fields: EventResolver(fields, clock, userdb_address), _pretty_event),
+        (USER_TYPE, "user", lambda spec: wire.parse_addr_id_spec(spec, USER_TYPE),
+         lambda user: UserResolver(*user, clock, user_fetch),
+         lambda user: f"user {user[1].hex()} in database at {user[0]}"),
+        (wire.REMOTE_TYPE, "remote", lambda spec: wire.parse_addr_id_spec(spec, wire.REMOTE_TYPE),
+         lambda target: wire.RemoteResolver(*target),
+         lambda target: f"remote resource {target[1].hex()} at {target[0]}"),
     ):
-        registry.register(owner_type, factory, label=label, pretty=pretty, build=build)
-    for owner_type, label, wording in (
-        (LOCATION_TYPE, "location", "location {id} managed at {address}"),
-        (wire.REMOTE_TYPE, "remote", "remote resource {id} at {address}"),
-    ):
-        pretty = functools.partial(_pretty_addr_id, owner_type, wording)
-        registry.register(owner_type, proxy_factory(owner_type), label=label, pretty=pretty)
+        usable = type_id in (STRING_TYPE, FILE_TYPE)
+        registry.register(type_id, decode, build, usable=usable, label=label, render=render)
     return registry

@@ -28,12 +28,12 @@ A step that encodes the description it returns from values it holds
 (or decodes it, to check it or to compute the validity) may hand those
 values on: resolve_local may return a third element, the value the
 description's spec decodes to.  When the name goes on past that
-description and the registry has a constructor for its type
-(TypeRegistry.build), the engine builds the next resolver from the value,
-through the same constructor the type's factory calls after decoding,
-instead of decoding the bytes the step just wrote.  A step hands on only
-what it encoded or decoded itself, never a description it read from
-elsewhere; any other description goes through its type's factory.
+description, the engine builds the next resolver from the value with
+the type's constructor (TypeRegistry.build) instead of decoding the
+bytes the step just wrote; any other description is decoded by its
+type's decoder and built by the same constructor
+(TypeRegistry.instantiate).  A step hands on only what it encoded or
+decoded itself, never a description it read from elsewhere.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class NotBoundError(ResolutionError):
 
 
 class UnknownTypeError(ResolutionError):
-    """No registered factory can resolve names from the intermediate resource."""
+    """The registry has no decoder and constructor for the intermediate resource's type."""
 
     def __init__(self, type_id: bytes, detail: str = "", step: Optional[int] = None) -> None:
         super().__init__(detail, step)
@@ -289,10 +289,11 @@ def _walk(
     `validity` is that of the attribute resolutions already made for the
     name (None if none); the result's validity intersects it with every
     step's.  A step, local or delegated, is one pass of the loop's `try`:
-    choose the resolver (built from the value the last step handed on,
-    as the module docstring says, else by the registry), spend one unit
-    of the budget, resolve; any failure in it carries that step unless it
-    already knows a deeper one.  Step i resolves the i-th local name.
+    choose the resolver (built by the registry from the value the last
+    step handed on, as the module docstring says, else from the
+    description), spend one unit of the budget, resolve; any failure in
+    it carries that step unless it already knows a deeper one.  Step i
+    resolves the i-th local name.
     """
     resolver = ctx.initial
     chain = name.locals
@@ -301,8 +302,11 @@ def _walk(
     while True:
         try:
             if step:
-                resolver = None if handed is None else ctx.registry.build(description.type_id, handed)
-                if resolver is None and (resolver := ctx.registry.instantiate(description)) is None:
+                if handed is None:
+                    resolver = ctx.registry.instantiate(description)
+                else:
+                    resolver = ctx.registry.build(description.type_id, handed)
+                if resolver is None:
                     raise UnknownTypeError(description.type_id)
             if budget.remaining <= 0:
                 raise DepthExceededError(budget.ctx.max_depth)

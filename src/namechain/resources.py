@@ -6,13 +6,20 @@ interpret the specification; everything else passes descriptions around
 unmodified.  Identifiers are derived by hashing a human-readable
 descriptor string, so new types need no registration authority and two
 independently chosen types collide with negligible probability.
+
+A registered type is three functions: a decoder from specification bytes
+to a value, a constructor from that value to a resolver, and optionally
+a rendering of the value for people.  The registry composes them, so a
+type's spec is decoded in one place, whether a resolver or a rendering
+is wanted, and a resolver built from a value some step already holds
+(TypeRegistry.build) is built by the same constructor.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .resolver import Resolver
@@ -21,7 +28,7 @@ TYPE_ID_LENGTH = 32
 
 
 class DuplicateTypeError(Exception):
-    """A factory is already registered for this type identifier."""
+    """A decoder and constructor are already registered for this type identifier."""
 
 
 def derive_type_id(descriptor: bytes | str) -> bytes:
@@ -48,22 +55,16 @@ class ResourceDescription:
         return self.type_id + self.spec
 
 
-ResolverFactory = Callable[[bytes], "Resolver"]
-# The constructor a factory calls with what it decoded from a spec.
-ResolverBuilder = Callable[[Any], "Resolver"]
-
-
-@dataclass
-class RegistryEntry:
-    factory: ResolverFactory
-    usable: bool = False
-    label: Optional[str] = None
-    pretty: Optional[Callable[[bytes], str]] = None
-    build: Optional[ResolverBuilder] = None
+class RegistryEntry(NamedTuple):
+    decode: Callable[[bytes], Any]
+    build: Callable[[Any], "Resolver"]
+    usable: bool
+    label: Optional[str]
+    render: Optional[Callable[[Any], str]]
 
 
 class TypeRegistry:
-    """Maps type identifiers to resolver factories and usability flags.
+    """Maps type identifiers to their decoders, constructors and usability flags.
 
     Build the registry at startup and treat it as read-only afterwards;
     lookups then need no coordination between threads.
@@ -75,23 +76,21 @@ class TypeRegistry:
     def register(
         self,
         type_id: bytes,
-        factory: ResolverFactory,
+        decode: Callable[[bytes], Any],
+        build: Callable[[Any], "Resolver"],
         *,
         usable: bool = False,
         label: str | None = None,
-        pretty: Callable[[bytes], str] | None = None,
-        build: ResolverBuilder | None = None,
+        render: Callable[[Any], str] | None = None,
     ) -> None:
-        """Register `factory` for `type_id`.
-
-        `build`, when given, is the constructor `factory` calls after
-        decoding a spec: factory(spec) == build(<what factory decoded>).
-        """
+        """Register a type: `decode` turns a spec into a value, `build`
+        turns that value into the type's resolver, and `render`, when
+        given, turns it into a human-readable form."""
         if not isinstance(type_id, bytes) or len(type_id) != TYPE_ID_LENGTH:
             raise ValueError(f"type identifier must be exactly {TYPE_ID_LENGTH} bytes")
         if type_id in self._entries:
             raise DuplicateTypeError(f"type {type_id.hex()} already registered")
-        self._entries[type_id] = RegistryEntry(factory, usable, label, pretty, build)
+        self._entries[type_id] = RegistryEntry(decode, build, usable, label, render)
 
     def knows(self, type_id: bytes) -> bool:
         return type_id in self._entries
@@ -109,32 +108,31 @@ class TypeRegistry:
         entry = self._entries.get(description.type_id)
         if entry is None:
             return None
-        if entry.pretty is None:
+        if entry.render is None:
             return entry.label
         try:
-            return entry.pretty(description.spec)
+            return entry.render(entry.decode(description.spec))
         except Exception:
             return f"{entry.label or 'resource'} (undecodable specification)"
 
     def instantiate(self, description: ResourceDescription) -> "Resolver | None":
         """Construct a resolver for a description; None for an unknown type.
 
-        A factory raises resolver.MalformedSpecError, a ResolutionError
+        A decoder raises resolver.MalformedSpecError, a ResolutionError
         that resolution stamps with its step, for bytes its type refuses.
         """
         entry = self._entries.get(description.type_id)
         if entry is None:
             return None
-        return entry.factory(description.spec)
+        return entry.build(entry.decode(description.spec))
 
-    def build(self, type_id: bytes, decoded: Any) -> "Resolver | None":
+    def build(self, type_id: bytes, value: Any) -> "Resolver | None":
         """The resolver for a description of type_id whose spec decodes to
-        `decoded`, built without decoding; None when the registry has no
-        constructor for the type."""
+        `value`, built without decoding; None for an unknown type."""
         entry = self._entries.get(type_id)
-        if entry is None or entry.build is None:
+        if entry is None:
             return None
-        return entry.build(decoded)
+        return entry.build(value)
 
     def type_ids(self) -> frozenset[bytes]:
         return frozenset(self._entries)

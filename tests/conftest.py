@@ -142,7 +142,7 @@ class Graph:
         self.edge_validities = edge_validities or {}
         self.overrides: dict[str, object] = {}
         self.registry = TypeRegistry()
-        self.registry.register(GRAPH_TYPE, self._factory, label="graph-node")
+        self.registry.register(GRAPH_TYPE, lambda spec: spec, self._factory, label="graph-node")
 
     def _bindings(self, label: str) -> dict[str, tuple[ResourceDescription, Validity]]:
         out = {}

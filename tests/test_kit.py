@@ -829,6 +829,7 @@ def test_a_handed_on_resolver_answers_as_the_decoded_one(world):
             continue
         handed_on += 1
         built, decoded = registry.build(description.type_id, handed), registry.instantiate(description)
+        assert handed == registry._entries[description.type_id].decode(description.spec)
         assert type(built) is type(decoded)
         for probe in probes:
             assert _outcome(built, probe) == _outcome(decoded, probe), (local, probe)
@@ -962,6 +963,40 @@ def test_a_chain_from_an_event_decodes_only_the_event(fake_clock, monkeypatch):
     )
     assert events == [event.spec]
     assert decoded == []
+
+
+# Every decoder perfbench traces, and a description the registry decodes with it.
+WRAPPED_DECODERS = [
+    (kit, "parse_event_spec", kit.event_description(_event_fields())),
+    (kit, "parse_time_period_spec", kit.time_period_description(CALENDAR, T0, T0 + 1)),
+    (kit, "parse_calendar_spec", kit.calendar_description(CALENDAR)),
+    (kit, "parse_file_set_spec", kit.file_set_description((("a", "http://h/a"),))),
+    (wire, "parse_addr_id_spec", kit.location_description("127.0.0.1:7002", LOC_A)),
+    (wire, "parse_addr_id_spec", kit.user_description(USERDB, USER_A)),
+    (wire, "parse_addr_id_spec", wire.remote_description(CALENDAR, USER_A)),
+]
+
+
+@pytest.mark.parametrize(
+    "module,attr,description",
+    WRAPPED_DECODERS,
+    ids=["event", "time-period", "calendar", "file-set", "location", "user", "remote"],
+)
+def test_the_registry_looks_its_decoders_up_when_it_decodes(
+    fake_clock, monkeypatch, module, attr, description
+):
+    registry = kit.build_registry(fake_clock, USERDB)
+    original, calls = getattr(module, attr), []
+
+    def spy(*args):  # positional only: the owner type of an addr-id spec included
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, attr, spy)
+    registry.instantiate(description)
+    assert "undecodable" not in registry.pretty(description)
+    expected = (description.spec,) if module is kit else (description.spec, description.type_id)
+    assert calls == [expected, expected]
 
 
 # --- a calendar server resolves from the events it decoded when built

@@ -173,10 +173,12 @@ def oracle_registry(
     registry = kit.build_registry(clock, userdb, events_query=events_query, user_fetch=user_fetch)
     registry = registry.without(kit.LOCATION_TYPE, kit.CALENDAR_TYPE, wire.REMOTE_TYPE)
     registry.register(
-        kit.CALENDAR_TYPE, lambda spec: element(kit.parse_calendar_spec(spec), kit.CALENDAR_RESOURCE_ID)
+        kit.CALENDAR_TYPE, kit.parse_calendar_spec, lambda address: element(address, kit.CALENDAR_RESOURCE_ID)
     )
     for type_id in (kit.LOCATION_TYPE, wire.REMOTE_TYPE):
-        registry.register(type_id, lambda spec, t=type_id: element(*wire.parse_addr_id_spec(spec, t)))
+        registry.register(
+            type_id, lambda spec, t=type_id: wire.parse_addr_id_spec(spec, t), lambda target: element(*target)
+        )
     return registry
 
 

@@ -206,12 +206,11 @@ def _trap_graph(hops):
     traps = {"refused": ResourceDescription(REFUSED_TYPE, b""), "period": PERIOD}
     edges = {f"n{i}": {f"s{i}": f"n{i + 1}", **traps} for i in range(hops)}
     graph = Graph(edges)
-    graph.registry.register(REFUSED_TYPE, _refusing_factory)
+    graph.registry.register(REFUSED_TYPE, lambda spec: spec, _refusing_factory)
     graph.registry.register(
         kit.TIME_PERIOD_TYPE,
-        lambda spec: kit.TimePeriodResolver(
-            *kit.parse_time_period_spec(spec), lambda: T0, _malformed_events
-        ),
+        kit.parse_time_period_spec,
+        lambda period: kit.TimePeriodResolver(*period, lambda: T0, _malformed_events),
     )
     return graph
 
@@ -320,7 +319,7 @@ def test_whole_chain_delegation_intersects_validity():
     delegate_type = derive_type_id("delegating-node")
 
     registry = TypeRegistry()
-    registry.register(delegate_type, lambda spec: delegate)
+    registry.register(delegate_type, lambda spec: spec, lambda value: delegate)
     initial = MapResolver(
         {"gw": (ResourceDescription(delegate_type, b""), Validity(T0 + 500))}, "init"
     )
@@ -347,7 +346,7 @@ def test_mid_chain_delegate_gets_the_literalized_rest():
     delegate = _Delegating(final)
     delegate_type = derive_type_id("delegating-node")
     registry = TypeRegistry()
-    registry.register(delegate_type, lambda spec: delegate)
+    registry.register(delegate_type, lambda spec: spec, lambda value: delegate)
     target = node_description("target")
     initial = MapResolver(
         {

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,7 +78,7 @@ class _Marker:
 def test_register_then_instantiate_uses_the_factory():
     registry = TypeRegistry()
     tid = derive_type_id("reg-test-a")
-    registry.register(tid, lambda spec: _Marker(spec))
+    registry.register(tid, lambda spec: spec, _Marker)
     resolver = registry.instantiate(ResourceDescription(tid, b"hello"))
     assert isinstance(resolver, _Marker) and resolver.tag == b"hello"
 
@@ -84,9 +86,9 @@ def test_register_then_instantiate_uses_the_factory():
 def test_duplicate_registration_rejected():
     registry = TypeRegistry()
     tid = derive_type_id("reg-test-b")
-    registry.register(tid, lambda spec: _Marker(spec))
+    registry.register(tid, lambda spec: spec, _Marker)
     with pytest.raises(DuplicateTypeError):
-        registry.register(tid, lambda spec: _Marker(spec))
+        registry.register(tid, lambda spec: spec, _Marker)
 
 
 def test_fresh_registry_misses():
@@ -196,3 +198,22 @@ def test_pretty_wording_of_the_addr_id_types():
     assert registry.pretty(wire.remote_description("h:1", entity_id)) == (
         f"remote resource {entity_id.hex()} at h:1"
     )
+
+
+def test_readme_python_blocks_run_as_written(capsys):
+    # Every python block of the README, in order, in one namespace: a block
+    # may use what an earlier one defined.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```\n", 1)[0] for part in readme.split("```python\n")[1:]]
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["resolution"].description == kit.file_description("http://host/docs/naming.ppt")
+    registry, printer = namespace["registry"], namespace["printer"]
+    assert namespace["administrator"].description == kit.string_description("ops@example.org")
+    assert registry.label_for(printer.type_id) == "printer"
+    undecodable = ResourceDescription(printer.type_id, b"\xff")
+    assert registry.pretty(undecodable) == "printer (undecodable specification)"
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "b'http://host/docs/naming.ppt'"
+    assert printed[2:] == ["printer administered by ops@example.org", "b'ops@example.org'"]
