@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import statistics
 import sys
 import threading
 from typing import Callable, Optional
@@ -185,7 +186,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     name_text = bench.SCENARIOS[args.scenario].name_text
-    print(f"{name_text} {args.mode} x{report.iterations}: {report.format_stats()} ms")
+    samples = sorted(report.samples)
+    p99 = samples[math.ceil(0.99 * len(samples)) - 1]  # nearest rank: always one of the samples
+    print(
+        f"{name_text} {args.mode} x{report.iterations}: {report.format_stats()} ms, "
+        f"median {statistics.median(samples):.2f} ms, p99 {p99:.2f} ms"
+    )
     return 0
 
 

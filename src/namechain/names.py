@@ -29,12 +29,14 @@ expression match.  Any other name goes to a recursive descent over
 checked, and shares the resource literal rule with
 parse_resource_literal.
 
-A name without attributes parsed from canonical text keeps that text
-as its serialization.  The grammar admits no other spelling of such a
-name than one with extra spaces, so text holding no two adjacent spaces
-is canonical.  A cache key and a RESOLVE line for that name thus cost a
-lookup, not a pass over its local names; any other name is rendered
-from its parts each time it is serialized.
+A name without attributes parsed from canonical text is that text until
+its local names are read: parse_name checks the text and keeps only it,
+and the first read of `locals` builds them from it (Name.__getattr__).
+The grammar admits no other spelling of such a name than one with extra
+spaces, so text holding no two adjacent spaces is canonical.  A cache
+key and a RESOLVE line for that name thus cost a lookup and build no
+local name; any other name is built when parsed and rendered from its
+parts each time it is serialized.
 
 Names nest at most MAX_NESTING deep, a name with no name-valued
 attribute being 1 deep.  Each level spends at least one resolution
@@ -156,6 +158,16 @@ class Name:
             if not isinstance(local, LocalName):
                 raise ValueError("a name may only chain LocalName values")
         object.__setattr__(self, "locals", locals_)
+
+    def __getattr__(self, attr: str):
+        # Runs only when normal lookup fails: a name that parse_name kept
+        # as its text builds its local names the first time they are read.
+        # setdefault hands every thread that raced to build them the one
+        # tuple stored.
+        fields = self.__dict__
+        if attr == "locals" and _TEXT in fields:
+            return fields.setdefault("locals", _plain_locals(fields[_TEXT][1:-1]))
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
 
 
 def _nesting(name: Name) -> int:
@@ -299,22 +311,30 @@ def _finish(text: str, pos: int) -> None:
         raise NameSyntaxError(pos, "unexpected trailing input")
 
 
+def _plain_locals(tokens: str) -> tuple[LocalName, ...]:
+    """The local names of a name without attributes, from the tokens
+    between its parentheses."""
+    # _build, inlined: every plain name a server or a local step walks
+    # passes here once.
+    new = object.__new__
+    locals_ = []
+    for token in tokens.split():
+        local = new(LocalName)
+        fields = local.__dict__
+        fields["primary"] = token
+        fields["attributes"] = ()
+        locals_.append(local)
+    return tuple(locals_)
+
+
 def parse_name(text: str) -> Name:
     """Parse a name in canonical syntax; the whole input must be one name."""
     plain = _PLAIN_NAME_RE.fullmatch(text)
     if plain is not None:
-        # _build, inlined: names pass here once per hop on both ends.
-        new = object.__new__
-        locals_ = []
-        for token in plain[1].split():
-            local = new(LocalName)
-            fields = local.__dict__
-            fields["primary"] = token
-            fields["attributes"] = ()
-            locals_.append(local)
-        name = new(Name)
-        name.__dict__["locals"] = tuple(locals_)
-        if "  " not in text:  # then the text is canonical (module docstring)
+        name = object.__new__(Name)
+        if "  " in text:
+            name.__dict__["locals"] = _plain_locals(plain[1])
+        else:  # the text is canonical (module docstring): it is the name
             name.__dict__[_TEXT] = text
         return name
     if text[:1] != "(":

@@ -22,7 +22,8 @@ a networked element with native resolution support) may offer
 engine then hands the entire remaining chain over in one step.  When
 the initial resource itself does so, the engine literalizes nothing:
 the name goes over as it is, and the element behind it anchors the
-attributes to itself.
+attributes to itself.  The engine then reads no local name of it, so a
+parsed plain name never builds them (see names.parse_name).
 
 A step that encodes the description it returns from values it holds
 (or decodes it, to check it or to compute the validity) may hand those
@@ -293,11 +294,10 @@ def _walk(
     step handed on, as the module docstring says, else from the
     description), spend one unit of the budget, resolve; any failure in
     it carries that step unless it already knows a deeper one.  Step i
-    resolves the i-th local name.
+    resolves the i-th local name.  The local names are read at the first
+    local step: a whole-name delegation at step 0 reads none.
     """
     resolver = ctx.initial
-    chain = name.locals
-    last = len(chain) - 1
     step = 0
     while True:
         try:
@@ -313,6 +313,9 @@ def _walk(
             budget.remaining -= 1
             resolve_name = getattr(resolver, "resolve_name", None)
             if resolve_name is None:
+                if not step:  # a step k > 0 follows this local step 0
+                    chain = name.locals
+                    last = len(chain) - 1
                 result = resolver.resolve_local(chain[step])
                 if len(result) == 2:
                     description, step_validity = result

@@ -104,16 +104,24 @@ class TypeRegistry:
         return entry.label if entry is not None else None
 
     def pretty(self, description: ResourceDescription) -> Optional[str]:
-        """Human-readable rendering of a description, or None when unknown."""
+        """Human-readable rendering of a description, or None when unknown.
+
+        A spec the type's decoder refuses (MalformedSpecError, or
+        ValueError from a decoder outside the kit) renders as undecodable;
+        anything a rendering raises propagates.
+        """
+        from .resolver import MalformedSpecError  # resolver imports this module
+
         entry = self._entries.get(description.type_id)
         if entry is None:
             return None
         if entry.render is None:
             return entry.label
         try:
-            return entry.render(entry.decode(description.spec))
-        except Exception:
+            value = entry.decode(description.spec)
+        except (MalformedSpecError, ValueError):
             return f"{entry.label or 'resource'} (undecodable specification)"
+        return entry.render(value)
 
     def instantiate(self, description: ResourceDescription) -> "Resolver | None":
         """Construct a resolver for a description; None for an unknown type.

@@ -237,7 +237,7 @@ def test_spellings_of_one_name_share_one_entry():
 )
 def test_a_parsed_canonical_name_is_never_serialized(deployment, monkeypatch, initial, text):
     """A miss (get, RESOLVE line, put) and a hit on a parsed canonical name
-    make no pass over its local names."""
+    make no pass over its local names, and build none."""
     passes = []
     serialize_local = names._serialize_local
     monkeypatch.setattr(names, "_serialize_local", lambda local: passes.append(local) or serialize_local(local))
@@ -250,10 +250,12 @@ def test_a_parsed_canonical_name_is_never_serialized(deployment, monkeypatch, in
     cache = NameCache()
     resolves = deployment.servers[initial].stats["RESOLVE"]
 
-    first = cached_resolve(ctx, cache, parse_name(text))
-    assert cached_resolve(ctx, cache, parse_name(text)) is first
+    missed, hit = parse_name(text), parse_name(text)
+    first = cached_resolve(ctx, cache, missed)
+    assert cached_resolve(ctx, cache, hit) is first
     assert deployment.servers[initial].stats["RESOLVE"] == resolves + 1
     assert passes == []
+    assert "locals" not in vars(missed) and "locals" not in vars(hit)
 
 
 class _SegmentedLRUModel:

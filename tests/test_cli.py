@@ -1,3 +1,4 @@
+import re
 import select
 import signal
 import socket
@@ -214,6 +215,15 @@ def test_bench_via_cli(tmp_path, deployment, capsys):
     assert code == 0
     assert "(occupant files naming.ppt) manual x4:" in out
     assert "±" in out and out.rstrip().endswith("ms")
+    stats = re.fullmatch(
+        r"\(occupant files naming\.ppt\) manual x4: (\d+\.\d{2}) ± \d+\.\d{2} ms, "
+        r"median (\d+\.\d{2}) ms, p99 (\d+\.\d{2}) ms",
+        out.rstrip(),
+    )
+    assert stats is not None
+    mean, median, p99 = map(float, stats.groups())
+    # Of 4 samples the nearest-rank p99 is the largest, so no mean or median exceeds it.
+    assert median <= p99 and mean <= p99
 
 
 def test_usage_error_exit_code_is_2():

@@ -1,5 +1,9 @@
+import copy
+import pickle
 import re
 import string
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -282,7 +286,58 @@ def test_the_recorded_text_takes_no_part_in_equality_hashing_or_repr():
     assert names._TEXT not in vars(constructed)
     assert name == constructed and hash(name) == hash(constructed)
     assert repr(name) == repr(constructed)
-    assert names._TEXT not in vars(parse_name("(printer  administrator queue)"))
+    spaced = parse_name("(printer  administrator queue)")
+    assert names._TEXT not in vars(spaced)
+    assert vars(spaced)["locals"] == constructed.locals  # built when parsed
+
+
+def _pickled(name):
+    return pickle.loads(pickle.dumps(name))
+
+
+@pytest.mark.parametrize("duplicate", [lambda name: name, copy.copy, copy.deepcopy, _pickled])
+def test_a_parsed_canonical_name_builds_its_local_names_when_first_read(duplicate):
+    text = "(printer administrator queue)"
+    constructed = Name((LocalName("printer"), LocalName("administrator"), LocalName("queue")))
+    name = duplicate(parse_name(text))
+    assert "locals" not in vars(name)
+    assert serialize_name(name) == text
+    assert name.locals == constructed.locals
+    assert vars(name)["locals"] is name.locals
+    assert name == constructed and hash(name) == hash(constructed)
+    assert repr(name) == repr(constructed)
+    # a copy of a name whose local names were read holds them too
+    assert vars(duplicate(name))["locals"] == constructed.locals
+    assert not hasattr(name, "nope")
+
+
+def test_threads_reading_the_local_names_at_once_get_equal_tuples():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # long enough that a thread switch can fall inside the build
+        tokens = [f"t{i}" for i in range(200)]
+        for _ in range(20):
+            name = parse_name("(" + " ".join(tokens) + ")")
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(name.locals)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 4
+            # every reader gets the one tuple the name keeps
+            assert all(locals_ is vars(name)["locals"] for locals_ in seen)
+            assert seen[0] == tuple(LocalName(token) for token in tokens)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 _LITERAL = "[" + "ab" * 32 + " 00ff]"

@@ -341,6 +341,28 @@ def test_initial_with_native_support_gets_the_whole_name():
     assert delegate.seen == [parse_name("(a b[u=(x y)] c)")]
 
 
+def test_a_whole_name_initial_builds_no_local_name():
+    final = Resolution(node_description("far"), Validity(T0 + 1_000))
+    delegate = _Delegating(final)
+    name = parse_name("(a b c)")
+    assert resolve(ResolveContext(registry=TypeRegistry(), initial=delegate), name) == final
+    assert delegate.seen[0] is name
+    assert "locals" not in vars(name)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_delegation_at_step_k_sends_the_rest_of_the_chain(k):
+    final = Resolution(node_description("far"), Validity(T0 + 1_000))
+    delegate = _Delegating(final)
+    # n0 -a0-> n1 -a1-> ... -a{k-1}-> gw, which resolves by delegation
+    graph = Graph({f"n{i}": {f"a{i}": f"n{i + 1}" if i + 1 < k else "gw"} for i in range(k)})
+    graph.overrides["gw"] = delegate
+    name = parse_name("(" + " ".join([f"a{i}" for i in range(k)] + ["x", "y"]) + ")")
+    ctx = ResolveContext(registry=graph.registry, initial=graph.resolver("n0"))
+    assert resolve(ctx, name) == final
+    assert delegate.seen == [Name(name.locals[k:])] == [parse_name("(x y)")]
+
+
 def test_mid_chain_delegate_gets_the_literalized_rest():
     final = Resolution(node_description("far"), Validity(T0 + 1_000))
     delegate = _Delegating(final)

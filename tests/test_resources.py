@@ -217,3 +217,23 @@ def test_readme_python_blocks_run_as_written(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == "b'http://host/docs/naming.ppt'"
     assert printed[2:] == ["printer administered by ops@example.org", "b'ops@example.org'"]
+
+
+def test_pretty_renders_only_a_refused_spec_as_undecodable():
+    """A spec its decoder refuses prints as undecodable, whether the decoder
+    raises MalformedSpecError (the kit's) or ValueError; whatever a
+    rendering raises is a bug, and pretty raises it."""
+    registry = kit.build_registry()
+    printer = derive_type_id("namechain.test.printer")
+    registry.register(
+        printer,
+        lambda spec: spec.decode("utf-8"),
+        lambda email: None,
+        label="printer",
+        render=lambda email: email + 1,
+    )
+    refused = ResourceDescription(kit.EVENT_TYPE, b"\xff")
+    assert registry.pretty(refused) == "event (undecodable specification)"
+    assert registry.pretty(ResourceDescription(printer, b"\xff")) == "printer (undecodable specification)"
+    with pytest.raises(TypeError):
+        registry.pretty(ResourceDescription(printer, b"ops@example.org"))
