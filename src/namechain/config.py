@@ -214,9 +214,9 @@ def parse_config(text: str) -> DeploymentConfig:
         if kind == "user":
             email, email_line = found["email"]
             files, files_line = found["files"]
-            if not email or any(c.isspace() for c in email):
+            if not wire.whitespace_free(email):
                 raise ConfigError(email_line, "email must be non-empty and whitespace-free")
-            if not files or any(c.isspace() for c in files):
+            if not wire.whitespace_free(files):
                 raise ConfigError(files_line, "files must be a whitespace-free URL prefix")
             cfg.users[alias] = UserRecord(alias, _parse_id(*found["id"], "user id"), email, files)
         elif kind == "location":

@@ -71,7 +71,6 @@ from .names import (
     NameSyntaxError,
     _LITERAL_RE,
     _TOKEN_RE,
-    _build,
     parse_resource_literal,
     serialize_resource_literal,
 )
@@ -81,10 +80,11 @@ from .resolver import (
     NotBoundError,
     StepResult,
     Validity,
+    _new_tuple,
     system_clock,
     validity_from_duration,
 )
-from .resources import ResourceDescription, TypeRegistry, derive_type_id
+from .resources import ResourceDescription, TypeRegistry, _new_description, derive_type_id
 
 STRING_TYPE = derive_type_id("namechain.type.string.v1")
 FILE_TYPE = derive_type_id("namechain.type.file.v1")
@@ -146,36 +146,33 @@ def period_bounds(period_name: str, now: int) -> Optional[tuple[int, int]]:
 
 
 # --- description constructors
-
-def _describe(type_id: bytes, spec: bytes) -> ResourceDescription:
-    # Every type id here has its length and every spec is bytes, all that
-    # ResourceDescription checks, so build it without checking again.
-    return _build(ResourceDescription, {"type_id": type_id, "spec": spec})
-
+#
+# Every type id here has its length and every spec is bytes, all that
+# ResourceDescription checks, so each is built without checking again.
 
 def string_description(text: str) -> ResourceDescription:
-    return _describe(STRING_TYPE, _encode_utf8(text, STRING_TYPE))
+    return _new_description(STRING_TYPE, _encode_utf8(text, STRING_TYPE))
 
 
 def file_description(url: str) -> ResourceDescription:
-    return _describe(FILE_TYPE, _encode_url(url, FILE_TYPE))
+    return _new_description(FILE_TYPE, _encode_url(url, FILE_TYPE))
 
 
 def file_collection_description(url_prefix: str) -> ResourceDescription:
-    return _describe(FILE_COLLECTION_TYPE, _encode_url(url_prefix, FILE_COLLECTION_TYPE))
+    return _new_description(FILE_COLLECTION_TYPE, _encode_url(url_prefix, FILE_COLLECTION_TYPE))
 
 
 def file_set_description(files: tuple[tuple[str, str], ...]) -> ResourceDescription:
-    return _describe(FILE_SET_TYPE, encode_file_set_spec(files))
+    return _new_description(FILE_SET_TYPE, encode_file_set_spec(files))
 
 
 def location_description(manager_address: str, location_id: bytes) -> ResourceDescription:
-    return _describe(LOCATION_TYPE, wire.encode_addr_id_spec(manager_address, location_id))
+    return _new_description(LOCATION_TYPE, wire.encode_addr_id_spec(manager_address, location_id))
 
 
 def calendar_description(server_address: str) -> ResourceDescription:
     wire.parse_address(server_address)
-    return _describe(CALENDAR_TYPE, server_address.encode("utf-8"))
+    return _new_description(CALENDAR_TYPE, server_address.encode("utf-8"))
 
 
 def time_period_description(server_address: str, start: int, end: int) -> ResourceDescription:
@@ -186,7 +183,7 @@ def time_period_description(server_address: str, start: int, end: int) -> Resour
 
 
 def user_description(userdb_address: str, user_id: bytes) -> ResourceDescription:
-    return _describe(USER_TYPE, wire.encode_addr_id_spec(userdb_address, user_id))
+    return _new_description(USER_TYPE, wire.encode_addr_id_spec(userdb_address, user_id))
 
 
 # The address checks above cost about a microsecond.  A resolver checks
@@ -195,15 +192,15 @@ def user_description(userdb_address: str, user_id: bytes) -> ResourceDescription
 def _time_period_description(server_address: str, start: int, end: int) -> ResourceDescription:
     if start >= end:
         raise ValueError("time period start must precede end")
-    return _describe(TIME_PERIOD_TYPE, f"{server_address} {start} {end}".encode("utf-8"))
+    return _new_description(TIME_PERIOD_TYPE, f"{server_address} {start} {end}".encode("utf-8"))
 
 
 def _user_description(userdb_address: str, user_id: bytes) -> ResourceDescription:
-    return _describe(USER_TYPE, wire._encode_addr_id_spec(userdb_address, user_id))
+    return _new_description(USER_TYPE, wire._encode_addr_id_spec(userdb_address, user_id))
 
 
 def event_description(fields: "EventFields") -> ResourceDescription:
-    return _describe(EVENT_TYPE, encode_event_spec(fields))
+    return _new_description(EVENT_TYPE, encode_event_spec(fields))
 
 
 # --- specification codecs
@@ -300,7 +297,7 @@ def _require_token(value: str, owner_type: bytes, what: str) -> None:
 
 
 def _require_url(value: str, owner_type: bytes) -> None:
-    if not value or wire._WHITESPACE_RE.search(value):
+    if not wire.whitespace_free(value):
         raise MalformedSpecError(owner_type, f"URL must be non-empty and whitespace-free, got {value!r}")
 
 
@@ -368,14 +365,17 @@ def parse_event_spec(spec: bytes) -> EventFields:
         raise MalformedSpecError(EVENT_TYPE, "start and end must be integers") from None
     if start >= end:
         raise MalformedSpecError(EVENT_TYPE, "start must precede end")
-    return _build(EventFields, {
-        "tags": tuple(tag_lines[4:-1].split("\ntag=")) if tag_lines else (),
-        "moderator": bytes.fromhex(moderator),
-        "location": _describe(bytes.fromhex(type_hex), bytes.fromhex(spec_hex)),
-        "files": files,
-        "start": start,
-        "end": end,
-    })
+    # Built in place (see the names module docstring) from what the
+    # pattern matched and the checks above accepted.
+    event = object.__new__(EventFields)
+    fields = event.__dict__
+    fields["tags"] = tuple(tag_lines[4:-1].split("\ntag=")) if tag_lines else ()
+    fields["moderator"] = bytes.fromhex(moderator)
+    fields["location"] = _new_description(bytes.fromhex(type_hex), bytes.fromhex(spec_hex))
+    fields["files"] = files
+    fields["start"] = start
+    fields["end"] = end
+    return event
 
 
 def _event_spec_fault(text: str) -> str:
@@ -572,7 +572,7 @@ class TimePeriodResolver:
         # for less than the floor.
         now = self.clock()
         expires_at = max(event.start, now + PERIOD_TAG_MIN_TTL_MS)
-        return _describe(EVENT_TYPE, spec), Validity(expires_at), event
+        return _new_description(EVENT_TYPE, spec), _new_tuple(Validity, (expires_at,)), event
 
 
 class CalendarResolver:
@@ -590,7 +590,7 @@ class CalendarResolver:
         start, end = bounds
         # The mapping from the period name drifts when the period ends.
         period = (self.server_address, start, end)
-        return _time_period_description(*period), Validity(end), period
+        return _time_period_description(*period), _new_tuple(Validity, (end,)), period
 
 
 class LocationStateResolver:

@@ -36,7 +36,22 @@ The grammar admits no other spelling of such a name than one with extra
 spaces, so text holding no two adjacent spaces is canonical.  A cache
 key and a RESOLVE line for that name thus cost a lookup and build no
 local name; any other name is built when parsed and rendered from its
-parts each time it is serialized.
+parts each time it is serialized.  Such a name has no attribute by
+construction, so resolution returns it as it is from literalizing
+(resolver._literalize) and reads its local names only to walk them.
+
+Each value type is built in one of two ways.  Its public constructor
+checks every field, for any caller.  Its one private constructor checks
+none and fills the instance's dict in place, item by item:
+_new_local, _new_name and _new_resource_value here,
+resources._new_description, and, where a loop builds one value per pass
+and a call would cost more than the build, the same build inline (the
+parser, _plain_locals, kit.parse_event_spec).  Every caller of a private
+constructor passes parts that its own checks accepted: the parser what
+it matched, the resolution engine what it parsed or resolved, a step the
+values it encoded or decoded, a decoder what its pattern matched.  The
+instance is the one the public constructor would build from those parts,
+so equality, hashing and repr are the same.
 
 Names nest at most MAX_NESTING deep, a name with no name-valued
 attribute being 1 deep.  Each level spends at least one resolution
@@ -52,7 +67,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .resources import TYPE_ID_LENGTH, ResourceDescription
+from .resources import TYPE_ID_LENGTH, ResourceDescription, _new_description
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9._-]+")
 _HEX_RE = re.compile(r"[0-9a-f]+")
@@ -61,6 +76,7 @@ _PLAIN_NAME_RE = re.compile(r"\(([A-Za-z0-9._-]+(?: +[A-Za-z0-9._-]+)*)\)")
 # A resource literal; the parser checks that the specification's length is even.
 _LITERAL_RE = re.compile(r"\[([0-9a-f]{64}) ([0-9a-f]*)\]")
 MAX_NESTING = 32
+_new = object.__new__
 # Where a parsed plain Name keeps its canonical text (see serialize_name).
 _TEXT = "_text"
 
@@ -185,22 +201,34 @@ def _nesting(name: Name) -> int:
     return 1 + max(nested, default=0)
 
 
-def _build(cls, fields: dict):
-    """An instance of a value class from fields the caller has already checked.
+# The private constructors: each fills an instance's dict in place, one
+# item at a time, without the public constructor's checks (see the module
+# docstring for the one condition their callers meet).
 
-    The parser and the resolution engine build names only from parts that
-    their own checks accepted; this skips the constructors' second round
-    of validation.  Equality and hashing are those of the public
-    constructors, which keep validating for every other caller.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+def _new_local(primary: str, attributes: tuple[tuple[str, AttrValue], ...]) -> LocalName:
+    local = _new(LocalName)
+    fields = local.__dict__
+    fields["primary"] = primary
+    fields["attributes"] = attributes
+    return local
+
+
+def _new_name(locals_: tuple[LocalName, ...]) -> Name:
+    name = _new(Name)
+    name.__dict__["locals"] = locals_
+    return name
+
+
+def _new_resource_value(description: ResourceDescription) -> ResourceValue:
+    value = _new(ResourceValue)
+    value.__dict__["description"] = description
+    return value
 
 
 # The parser: functions over (text, pos) that return (value, pos after
 # it) and build each node once, from parts their own checks accepted.
-_new = object.__new__
+# Where a loop builds one node per pass it builds it inline, as a call
+# to the constructors above costs more.
 
 
 def _name(text: str, pos: int, depth: int) -> tuple[Name, int]:
@@ -221,7 +249,9 @@ def _name(text: str, pos: int, depth: int) -> tuple[Name, int]:
         else:
             attributes = ()
         local = _new(LocalName)
-        local.__dict__.update(primary=m.group(), attributes=attributes)
+        fields = local.__dict__
+        fields["primary"] = m.group()
+        fields["attributes"] = attributes
         locals_.append(local)
         c = text[pos : pos + 1]
         if c == ")":
@@ -279,11 +309,8 @@ def _literal(text: str, pos: int) -> tuple[ResourceDescription, int]:
     m = _LITERAL_RE.match(text, pos)
     if m is None or len(m[2]) % 2:
         raise _literal_error(text, pos)
-    # The identifier has its length and both fields decode to bytes:
-    # all that ResourceDescription checks.
-    description = _new(ResourceDescription)
-    description.__dict__.update(type_id=bytes.fromhex(m[1]), spec=bytes.fromhex(m[2]))
-    return description, m.end()
+    # The identifier has its length and both fields decode to bytes.
+    return _new_description(bytes.fromhex(m[1]), bytes.fromhex(m[2])), m.end()
 
 
 def _literal_error(text: str, pos: int) -> NameSyntaxError:
@@ -314,12 +341,11 @@ def _finish(text: str, pos: int) -> None:
 def _plain_locals(tokens: str) -> tuple[LocalName, ...]:
     """The local names of a name without attributes, from the tokens
     between its parentheses."""
-    # _build, inlined: every plain name a server or a local step walks
-    # passes here once.
-    new = object.__new__
+    # Built inline (see the parser): every plain name a server or a local
+    # step walks passes here once.
     locals_ = []
     for token in tokens.split():
-        local = new(LocalName)
+        local = _new(LocalName)
         fields = local.__dict__
         fields["primary"] = token
         fields["attributes"] = ()
@@ -331,7 +357,7 @@ def parse_name(text: str) -> Name:
     """Parse a name in canonical syntax; the whole input must be one name."""
     plain = _PLAIN_NAME_RE.fullmatch(text)
     if plain is not None:
-        name = object.__new__(Name)
+        name = _new(Name)
         if "  " in text:
             name.__dict__["locals"] = _plain_locals(plain[1])
         else:  # the text is canonical (module docstring): it is the name

@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Protocol
 
-from .names import MAX_NESTING, LocalName, Name, NameValue, ResourceValue, _build
+from .names import _TEXT, MAX_NESTING, LocalName, Name, NameValue, _new_local, _new_name, _new_resource_value
 from .resources import ResourceDescription, TypeRegistry
 
 Clock = Callable[[], int]
@@ -68,7 +68,14 @@ class NegativeDurationError(ValueError):
 
 # Validity and Resolution are built on every step and every hop; as
 # named tuples each costs one allocation, and they compare and hash by
-# their fields.
+# their fields.  Where they are built on every step (here, in the kit's
+# steps and in wire.parse_ok_resolution) they are built as
+# _new_tuple(cls, fields), which is what the generated __new__ does
+# without its Python frame; Validity(...) and Resolution(...) stay the
+# public way to build them.
+_new_tuple = tuple.__new__
+
+
 class Validity(NamedTuple):
     """Absolute instant (ms since epoch) after which a mapping is stale."""
 
@@ -83,7 +90,7 @@ def intersect(a: Validity, b: Validity) -> Validity:
 def validity_from_duration(now: int, duration_ms: int) -> Validity:
     if duration_ms < 0:
         raise NegativeDurationError(f"duration must be >= 0, got {duration_ms}")
-    return Validity(now + duration_ms)
+    return _new_tuple(Validity, (now + duration_ms,))
 
 
 class Resolution(NamedTuple):
@@ -254,6 +261,8 @@ def _literalize(
     step i: the step of the local name that holds the attribute (the
     outermost call sets it last).
     """
+    if _TEXT in name.__dict__:  # a parsed plain name: it has no attribute
+        return name, None
     out_locals = []
     validity: Optional[Validity] = None
     for local in name.locals:
@@ -264,7 +273,7 @@ def _literalize(
                     if isinstance(value, NameValue):
                         inner, inner_validity = _literalize(ctx, value.name, budget)
                         resolution = _walk(ctx, inner, inner_validity, budget)
-                        value = ResourceValue(resolution.description)
+                        value = _new_resource_value(resolution.description)
                         validity = (
                             resolution.validity
                             if validity is None
@@ -275,11 +284,11 @@ def _literalize(
                 # out_locals holds the local names before this one
                 exc.step = len(out_locals)
                 raise
-            local = _build(LocalName, {"primary": local.primary, "attributes": tuple(new_attrs)})
+            local = _new_local(local.primary, tuple(new_attrs))
         out_locals.append(local)
     if validity is None:
         return name, None
-    return _build(Name, {"locals": tuple(out_locals)}), validity
+    return _new_name(tuple(out_locals)), validity
 
 
 def _walk(
@@ -325,17 +334,19 @@ def _walk(
             else:
                 # Whole-chain delegation: the element behind this resolver
                 # runs the same procedure itself, anchored to itself.
-                resolution = resolve_name(name if step == 0 else _build(Name, {"locals": chain[step:]}))
-                if validity is None:
+                resolution = resolve_name(name if step == 0 else _new_name(chain[step:]))
+                if validity is None or validity.expires_at >= resolution.validity.expires_at:
                     return resolution
-                return Resolution(resolution.description, intersect(validity, resolution.validity))
+                return _new_tuple(Resolution, (resolution.description, validity))
         except ResolutionError as exc:
             if exc.step is None:
                 exc.step = step
             raise
-        validity = step_validity if validity is None else intersect(validity, step_validity)
+        # intersect(validity, step_validity), compared inline
+        if validity is None or step_validity.expires_at < validity.expires_at:
+            validity = step_validity
         if step == last:
-            return Resolution(description, validity)
+            return _new_tuple(Resolution, (description, validity))
         step += 1
 
 

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     from .resolver import Resolver
 
 TYPE_ID_LENGTH = 32
+_new = object.__new__
 
 
 class DuplicateTypeError(Exception):
@@ -53,6 +54,16 @@ class ResourceDescription:
 
     def to_bytes(self) -> bytes:
         return self.type_id + self.spec
+
+
+def _new_description(type_id: bytes, spec: bytes) -> ResourceDescription:
+    """A description of a type id of TYPE_ID_LENGTH bytes and a bytes spec,
+    built without the constructor's checks (see the names module docstring)."""
+    description = _new(ResourceDescription)
+    fields = description.__dict__
+    fields["type_id"] = type_id
+    fields["spec"] = spec
+    return description
 
 
 class RegistryEntry(NamedTuple):

@@ -6,7 +6,17 @@ either end writes), terminated by one LF, with fields separated by
 single spaces and binary payloads hex-encoded in lowercase pairs.  An
 empty binary field is written as ``-``; ``unhex_field`` takes nothing
 else (no upper case, no spaces, no empty field).  An address is
-``host:port`` with no whitespace in the host.
+``host:port`` with no whitespace in the host.  Whitespace is what
+str.isspace() flags, for every field, address, URL and config value
+that must be free of it (``whitespace_free``, the one rule).
+
+The one reply of several lines, EVENTS', is at most 1 MiB in all, its
+lines and their LFs together (``MAX_REPLY_BYTES``): 16 lines at the line
+bound, so reading one costs a client a bounded amount whatever the peer
+sends.  A server never writes a larger reply (``bounded_lines``).  A
+client refuses one as "too large": a count whose lines could not fit at
+2 bytes each before it reads a line, else once the lines it has read,
+and the least the rest take, pass the bound.
 
 Verbs:
 
@@ -49,7 +59,8 @@ client-side error; the codes, with what the detail carries:
     BADREQ <reason>       TransportError: a malformed request or name
     INTERNAL <reason>     TransportError: an upstream failure, a bad
                           stored specification, or "reply too long": a
-                          reply over MAX_LINE_BYTES (LineTooLong)
+                          reply line over MAX_LINE_BYTES or a reply over
+                          MAX_REPLY_BYTES (LineTooLong)
 
 A detail is cut to its first 1024 characters, so an ERR line that echoes
 a request stays far under the bound.
@@ -98,7 +109,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .names import _TOKEN_RE, Name, NameSyntaxError, _build, parse_name, serialize_name
+from .names import _TOKEN_RE, Name, NameSyntaxError, parse_name, serialize_name
 from .resolver import (
     DEFAULT_TIMEOUT,
     DepthExceededError,
@@ -108,11 +119,16 @@ from .resolver import (
     TransportError,
     UnknownTypeError,
     Validity,
+    _new_tuple,
     scope,
 )
-from .resources import ResourceDescription, TYPE_ID_LENGTH, derive_type_id
+from .resources import ResourceDescription, TYPE_ID_LENGTH, _new_description, derive_type_id
 
 MAX_LINE_BYTES = 65536
+# A whole reply's bytes, every line and its LF together (see above).  A
+# benchmark fixture's event spec is about 420 bytes, a line of about 840,
+# so a reply holds over a thousand such events.
+MAX_REPLY_BYTES = 16 * MAX_LINE_BYTES
 _FITS_ANY_CHARS = MAX_LINE_BYTES // 4  # UTF-8 takes at most 4 bytes a code point
 _MAX_DETAIL_CHARS = 1024  # an ERR line's detail, so no ERR line nears MAX_LINE_BYTES
 ENTITY_ID_LENGTH = 16
@@ -125,8 +141,6 @@ _ENTITY_ID_RE = re.compile(r"[0-9a-f]{32}")
 # Integers as str() writes them; "-0" and padding zeros are not.
 _UNSIGNED_INT_RE = re.compile(r"0|[1-9][0-9]*")
 _SIGNED_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
-# \s matches exactly the code points str.isspace() flags.
-_WHITESPACE_RE = re.compile(r"\s")
 
 
 def hex_field(data: bytes) -> str:
@@ -142,6 +156,17 @@ def unhex_field(text: str) -> bytes:
     if not data or data.hex() != text:
         raise ValueError("binary field must be lowercase hex digit pairs or '-'")
     return data
+
+
+def whitespace_free(text: str) -> bool:
+    """Whether `text` is non-empty and holds no code point that
+    str.isspace() flags: the one whitespace rule of fields, addresses,
+    URLs and config values.
+
+    str.split() splits at exactly those code points, the ones a regular
+    expression's \\s matches, so a text it leaves whole is such a field.
+    """
+    return text.split() == [text]
 
 
 def parse_int(text: str, signed: bool = False) -> int:
@@ -170,7 +195,7 @@ def parse_listen_address(address: str) -> tuple[str, int]:
     host, sep, port_text = address.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {address!r}")
-    if _WHITESPACE_RE.search(host):
+    if not whitespace_free(host):
         raise ValueError(f"address host must be whitespace-free, got {address!r}")
     port = parse_int(port_text)
     if port > 65535:
@@ -265,7 +290,7 @@ def ok_line(*fields: str) -> str:
 def format_user_record(email: str, fileprefix: str) -> str:
     """The GETUSER reply, refusing what get_user refuses: an empty field,
     or one holding whitespace."""
-    if not email or not fileprefix or _WHITESPACE_RE.search(email + fileprefix):
+    if not (whitespace_free(email) and whitespace_free(fileprefix)):
         raise ValueError("user record fields must be non-empty and whitespace-free")
     return ok_line(email, fileprefix)
 
@@ -294,8 +319,8 @@ def parse_ok_resolution(fields: list[str]) -> Resolution:
         raise TransportError("malformed RESOLVE response: bad type identifier length")
     # type_id has its length and spec is bytes, all that ResourceDescription
     # checks, so build it without checking again.
-    description = _build(ResourceDescription, {"type_id": type_id, "spec": spec})
-    return Resolution(description, Validity(expires_at))
+    description = _new_description(type_id, spec)
+    return _new_tuple(Resolution, (description, _new_tuple(Validity, (expires_at,))))
 
 
 # --- failures <-> ERR line
@@ -305,15 +330,25 @@ class NotFound(LookupError):
 
 
 class LineTooLong(Exception):
-    """A line to be written is over MAX_LINE_BYTES."""
+    """A line to be written is over MAX_LINE_BYTES, or a reply over MAX_REPLY_BYTES."""
+
+
+def _utf8_size(line: str) -> int:
+    return len(line) if line.isascii() else len(line.encode("utf-8"))
 
 
 def bounded_lines(lines: list[str]) -> list[str]:
-    """`lines`, if none is over MAX_LINE_BYTES when encoded: the bound on
-    every line either end writes.  Raises LineTooLong otherwise."""
+    """`lines`, if none is over MAX_LINE_BYTES when encoded and all of
+    them with their LFs are not over MAX_REPLY_BYTES: the bound on every
+    line either end writes, and on every reply a server writes.  Raises
+    LineTooLong otherwise."""
+    chars = 0
     for line in lines:
         if len(line) > _FITS_ANY_CHARS and len(line.encode("utf-8")) > MAX_LINE_BYTES:
             raise LineTooLong("line too long")
+        chars += len(line) + 1
+    if chars > MAX_REPLY_BYTES // 4 and sum(_utf8_size(line) + 1 for line in lines) > MAX_REPLY_BYTES:
+        raise LineTooLong("reply too long")
     return lines
 
 
@@ -555,9 +590,28 @@ def _call_answer(
     first, *extras = answer(request)
     fields = first.split(" ")
     expected = extra_count(fields) if fields[0] == "OK" and extra_count is not None else 0
+    size = _least_reply_size(first, expected)
     if len(extras) != expected:
         raise TransportError(f"response has {len(extras)} lines after the first, expected {expected}")
+    _within_reply_bound(size + sum([_utf8_size(line) - 1 for line in extras]))
     return fields, extras
+
+
+def _least_reply_size(first: str, count: int) -> int:
+    """The fewest bytes a reply of `first` and `count` more lines takes,
+    each of those at least 2 ('-' and its LF), if that fits MAX_REPLY_BYTES.
+
+    A reply is read line by line while this, plus what each line read
+    takes beyond its 2 bytes, fits: so a count that cannot fit is refused
+    before a line is read, and no more than the bound is ever read.
+    """
+    return _within_reply_bound(_utf8_size(first) + 1 + 2 * count)
+
+
+def _within_reply_bound(size: int) -> int:
+    if size > MAX_REPLY_BYTES:
+        raise TransportError(f"response too large (over {MAX_REPLY_BYTES} bytes)")
+    return size
 
 
 def _roundtrip(
@@ -589,10 +643,16 @@ def _roundtrip(
         fields: Optional[list[str]] = None
         try:
             conn.sock.sendall(payload)
-            fields = conn.read_line().split(" ")
+            first = conn.read_line()
+            fields = first.split(" ")
             extras: list[str] = []
             if fields[0] == "OK" and extra_count is not None:
-                extras = [conn.read_line() for _ in range(extra_count(fields))]
+                count = extra_count(fields)
+                size = _least_reply_size(first, count)
+                for _ in range(count):
+                    line = conn.read_line()
+                    size = _within_reply_bound(size + _utf8_size(line) - 1)
+                    extras.append(line)
             _pool.release(address, conn)
             return fields, extras
         except OSError as exc:
@@ -643,7 +703,7 @@ def get_user(address: str, user_id: bytes, timeout: Optional[float] = None) -> t
     """Fetch a user record: (email, file collection URL prefix)."""
     fields, _ = _roundtrip(address, f"GETUSER {format_entity_id(user_id)}", timeout)
     fields = _expect_ok(fields, "GETUSER")
-    if len(fields) != 3 or not fields[1] or not fields[2] or _WHITESPACE_RE.search(fields[1] + fields[2]):
+    if len(fields) != 3 or not (whitespace_free(fields[1]) and whitespace_free(fields[2])):
         raise TransportError("malformed GETUSER response")
     return fields[1], fields[2]
 

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import nested_name
 
-from namechain import names
+from namechain import kit, names, resources
 from namechain.names import (
     MAX_NESTING,
     EmptyNameError,
@@ -400,3 +400,35 @@ def test_every_prefix_and_one_character_edit_parses_canonically_or_raises_a_synt
             continue
         assert serialize_name(name) == re.sub(" +", " ", text)
         assert serialize_name(Name(name.locals)) == serialize_name(name)
+
+
+_DESCRIPTION = ResourceDescription(b"\x01" * 32, b"spec")
+_EVENT = kit.EventFields(
+    ("meeting", "weekly"), b"\x02" * 16, _DESCRIPTION, (("a.txt", "http://h/a.txt"),), 10, 20
+)
+
+
+@pytest.mark.parametrize(
+    "private,public",
+    [
+        (lambda: resources._new_description(b"\x01" * 32, b"spec"), lambda: _DESCRIPTION),
+        (
+            lambda: names._new_local("a", (("u", StringValue("x")), ("r", ResourceValue(_DESCRIPTION)))),
+            lambda: LocalName("a", (("u", StringValue("x")), ("r", ResourceValue(_DESCRIPTION)))),
+        ),
+        (
+            lambda: names._new_name((LocalName("a"), LocalName("b"))),
+            lambda: Name((LocalName("a"), LocalName("b"))),
+        ),
+        (lambda: names._new_resource_value(_DESCRIPTION), lambda: ResourceValue(_DESCRIPTION)),
+        (lambda: kit.parse_event_spec(kit.encode_event_spec(_EVENT)), lambda: _EVENT),
+    ],
+    ids=["ResourceDescription", "LocalName", "Name", "ResourceValue", "EventFields"],
+)
+def test_a_private_constructor_builds_what_the_public_one_does(private, public):
+    built, expected = private(), public()
+    assert type(built) is type(expected)
+    assert built == expected and expected == built
+    assert hash(built) == hash(expected)
+    assert repr(built) == repr(expected)
+    assert vars(built) == vars(expected)

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from conftest import Graph, MapResolver, node_description
 
-from namechain import kit
+from namechain import kit, resolver, wire
 from namechain.cache import NameCache, cached_resolve
 from namechain.names import LocalName, Name, ResourceValue, parse_name
 from namechain.resolver import (
@@ -348,6 +348,29 @@ def test_a_whole_name_initial_builds_no_local_name():
     assert resolve(ResolveContext(registry=TypeRegistry(), initial=delegate), name) == final
     assert delegate.seen[0] is name
     assert "locals" not in vars(name)
+
+
+def test_literalize_returns_a_parsed_plain_name_itself():
+    graph = Graph({"n0": {"a": "n1"}, "n1": {"b": "n2"}})
+    ctx = ResolveContext(registry=graph.registry, initial=graph.resolver("n0"))
+    name = parse_name("(a b)")
+    assert resolver._literalize(ctx, name, resolver._Budget(ctx)) == (name, None)
+    assert "locals" not in vars(name)  # it read no local name
+    assert resolve(ctx, name).description == node_description("n2")
+
+
+def test_values_built_on_the_hot_path_have_their_named_tuple_types():
+    validity = validity_from_duration(T0, 5)
+    assert type(validity) is Validity and validity == Validity(T0 + 5)
+    assert repr(validity) == repr(Validity(T0 + 5)) and hash(validity) == hash(Validity(T0 + 5))
+    graph = Graph({"n0": {"a": "n1"}})
+    resolution = resolve(ResolveContext(registry=graph.registry, initial=graph.resolver("n0")), parse_name("(a)"))
+    assert type(resolution) is Resolution and type(resolution.validity) is Validity
+    line = wire.format_ok_resolution(resolution)
+    parsed = wire.parse_ok_resolution(line.split(" "))
+    assert type(parsed) is Resolution and type(parsed.validity) is Validity
+    assert parsed == resolution and hash(parsed) == hash(resolution)
+    assert repr(parsed) == repr(Resolution(resolution.description, resolution.validity))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,3 +1,4 @@
+import re
 import socket
 import threading
 import time
@@ -30,6 +31,21 @@ from namechain.servers import LocationManager, UserDatabase, start_in_thread
 
 
 # --- framing and field encodings (no sockets)
+
+# Every code point str.isspace() flags lies in the Basic Multilingual
+# Plane; the spread samples the rest of the range, surrogates included.
+_SPACES = [c for c in map(chr, range(0x10000)) if c.isspace()]
+_SPREAD = [chr(c) for c in range(0, 0x110000, 997)] + ["\u200b", "\ufeff", "\ud800", "\x00"]
+
+
+def test_whitespace_free_is_the_regex_whitespace_rule():
+    assert len(_SPACES) >= 25
+    texts = [""]
+    for c in _SPACES + _SPREAD:
+        texts += [c, f"a{c}b", f"{c}ab", f"ab{c}", c + c]
+    for text in texts:
+        assert wire.whitespace_free(text) == (text != "" and re.search(r"\s", text) is None), repr(text)
+
 
 def test_hex_field_uses_dash_for_empty():
     assert wire.hex_field(b"") == "-"
@@ -504,18 +520,21 @@ class _ScriptedPeer:
 
     def _serve(self, sock):
         with sock, sock.makefile("rb") as rfile:
-            for line in rfile:
-                with self._lock:
-                    self.lines.append(line)
-                    action = self.answer(len(self.lines))
-                if action == "silent":
-                    continue
-                if self.segment is None:
-                    sock.sendall(self.reply)
-                else:
-                    _send_in_segments(sock, self.reply, self.segment)
-                if action == "close":
-                    return
+            try:
+                for line in rfile:
+                    with self._lock:
+                        self.lines.append(line)
+                        action = self.answer(len(self.lines))
+                    if action == "silent":
+                        continue
+                    if self.segment is None:
+                        sock.sendall(self.reply)
+                    else:
+                        _send_in_segments(sock, self.reply, self.segment)
+                    if action == "close":
+                        return
+            except ConnectionError:  # a client that refused a reply hung up on it
+                return
 
     def close(self):
         wire.close_idle_connections()
@@ -771,6 +790,87 @@ def test_request_line_bound_on_the_client(extra):
             assert peer.lines == [request.encode() + b"\n"]
     finally:
         peer.close()
+
+
+def _count(fields):
+    return int(fields[1])
+
+
+def test_events_reply_whose_count_cannot_fit_is_refused_before_a_line_is_read():
+    # 1 000 000 lines of 2 bytes each: 2 MB, which a client used to read whole.
+    peer = _ScriptedPeer(lambda n: "reply", reply=b"OK 1000000\n" + b"-\n" * 1_000_000)
+    try:
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="too large"):
+            wire.query_events(peer.address, 0, 1, "x", timeout=5)
+        assert time.monotonic() - start < 1
+    finally:
+        peer.close()
+
+
+def _reply_of_size(size):
+    """An "OK 16" reply of 16 more lines, `size` bytes in all."""
+    lines = [b"OK 16"] + [b"p" * wire.MAX_LINE_BYTES] * 15
+    lines.append(b"p" * (size - sum(len(line) + 1 for line in lines) - 1))
+    return b"".join(line + b"\n" for line in lines)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["max", "max+1"])
+def test_reply_bound_is_max_reply_bytes_on_the_client(extra):
+    reply = _reply_of_size(wire.MAX_REPLY_BYTES + extra)
+    peer = _ScriptedPeer(lambda n: "close", reply=reply)
+    try:
+        if extra:
+            with pytest.raises(TransportError, match="too large"):
+                wire._roundtrip(peer.address, "EVENTS 0 1 x", 5, extra_count=_count)
+        else:
+            _, extras = wire._roundtrip(peer.address, "EVENTS 0 1 x", 5, extra_count=_count)
+            assert len(extras) == 16 and len(extras[0]) == wire.MAX_LINE_BYTES
+    finally:
+        peer.close()
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["max", "max+1"])
+def test_cohosted_reply_gets_the_reply_bound(extra):
+    lines = _reply_of_size(wire.MAX_REPLY_BYTES + extra).decode().split("\n")[:-1]
+    if extra:
+        with pytest.raises(TransportError, match="too large"):
+            wire._call_answer(lambda request: lines, "EVENTS 0 1 x", _count)
+    else:
+        assert wire._call_answer(lambda request: lines, "EVENTS 0 1 x", _count)[1] == lines[1:]
+    with pytest.raises(TransportError, match="too large"):  # a count that cannot fit
+        wire._call_answer(lambda request: ["OK 1000000", "-"], "EVENTS 0 1 x", _count)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["max", "max+1"])
+def test_bounded_lines_bounds_a_whole_reply_in_bytes(extra):
+    lines = _reply_of_size(wire.MAX_REPLY_BYTES + extra).decode().split("\n")[:-1]
+    # two bytes a code point: under the bound in code points, over it in bytes
+    wide = ["OK 16"] + ["\u00e9" * (wire.MAX_LINE_BYTES // 2)] * 16
+    with pytest.raises(wire.LineTooLong, match="reply too long"):
+        wire.bounded_lines(wide)
+    if extra:
+        with pytest.raises(wire.LineTooLong, match="reply too long"):
+            wire.bounded_lines(lines)
+    else:
+        assert wire.bounded_lines(lines) is lines
+
+
+@pytest.mark.parametrize("events,answer", [(15, "OK 15"), (17, "ERR INTERNAL reply too long")])
+def test_calendar_never_writes_an_events_reply_over_the_reply_bound(events, answer):
+    # Each spec holds a 31 000-character URL, and its hex doubles it.
+    def stored(i):
+        files = (("f", "http://h/" + "p" * 31_000),)
+        location = kit.string_description("room")
+        fields = kit.EventFields(("big",), bytes(16), location, files, 10 + i, 1000)
+        return servers.StoredEvent(i.to_bytes(16, "big"), fields)
+
+    stored_events = [stored(i) for i in range(events)]
+    calendar = servers.CalendarServer(("127.0.0.1", 0), stored_events, None, "127.0.0.1:1")
+    try:
+        assert calendar.process_line("EVENTS 0 100 big")[0] == answer
+    finally:
+        calendar.server_close()
 
 
 def _files_request(deployment, file_name):
