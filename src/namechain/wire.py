@@ -10,13 +10,16 @@ else (no upper case, no spaces, no empty field).  An address is
 str.isspace() flags, for every field, address, URL and config value
 that must be free of it (``whitespace_free``, the one rule).
 
-The one reply of several lines, EVENTS', is at most 1 MiB in all, its
-lines and their LFs together (``MAX_REPLY_BYTES``): 16 lines at the line
-bound, so reading one costs a client a bounded amount whatever the peer
-sends.  A server never writes a larger reply (``bounded_lines``).  A
-client refuses one as "too large": a count whose lines could not fit at
-2 bytes each before it reads a line, else once the lines it has read,
-and the least the rest take, pass the bound.
+A client reads every reply alike, from a connection or from a co-hosted
+server's answer (``_read_reply``): its first line, after an OK to EVENTS
+the lines its count announces, and then nothing more.  That one reply of
+several lines is at most 1 MiB, its lines and LFs together
+(``MAX_REPLY_BYTES``, 16 lines at the line bound), and no server writes
+a larger one (``bounded_lines``).  A client refuses one as "too large":
+a count that could not fit at 2 bytes a line before it reads a line,
+else as soon as the lines read pass the bound.  A reply with anything
+after it is refused, and its connection closed, never pooled.  Only then
+does an ERR reply raise its client-side error, on a connection kept.
 
 Verbs:
 
@@ -93,11 +96,11 @@ reach it at, as they write it, so a host name works as an IP does.  A
 request sent while answering (``resolver.scope.answering`` > 0) to a
 hosted address is a call to that answer, in the calling thread.  Its
 lines, the server's counters and its ERR codes are those a connection
-carries, and its reply is decoded as one read from a socket; it has no
-timeout of its own.  A co-hosted RESOLVE spends its caller's step budget,
-so the caller's limit bounds how deep such calls nest, and its wire
-calls have its caller's timeout.  A request sent over a socket starts a
-fresh budget at the server, under the default timeout.
+carries, and it has no timeout of its own.  A co-hosted RESOLVE spends
+its caller's step budget, so the caller's limit bounds how deep such
+calls nest, and its wire calls have its caller's timeout.  A request
+sent over a socket starts a fresh budget at the server, under the
+default timeout.
 """
 
 from __future__ import annotations
@@ -501,6 +504,10 @@ class LineConnection:
         except UnicodeDecodeError:
             raise BadLine("is not UTF-8") from None
 
+    def unread(self) -> bool:
+        """Whether bytes past the last line returned are in the buffer."""
+        return self._start < len(self._buf)
+
     def send_lines(self, lines: list[str]) -> None:
         self.sock.sendall(("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -582,36 +589,30 @@ def unhost(address: str, answer: Answer) -> None:
             del _answers[address]
 
 
-def _call_answer(
-    answer: Answer, request: str, extra_count: Optional[Callable[[list[str]], int]]
+def _read_reply(
+    first: str,
+    read_line: Callable[[], str],
+    unread: Callable[[], bool],
+    extra_count: Optional[Callable[[list[str]], int]],
 ) -> tuple[list[str], list[str]]:
-    """_roundtrip to a server in this process: its answer to `request`,
-    decoded as a reply read from a socket is."""
-    first, *extras = answer(request)
+    """(`first`'s fields, the lines after it): those `extra_count`
+    announces after an OK, each from `read_line`.  Refuses a reply over
+    MAX_REPLY_BYTES, counting each line still to come at its least, '-'
+    and its LF, and a reply that `unread` says goes on (see above)."""
     fields = first.split(" ")
-    expected = extra_count(fields) if fields[0] == "OK" and extra_count is not None else 0
-    size = _least_reply_size(first, expected)
-    if len(extras) != expected:
-        raise TransportError(f"response has {len(extras)} lines after the first, expected {expected}")
-    _within_reply_bound(size + sum([_utf8_size(line) - 1 for line in extras]))
+    extras: list[str] = []
+    if fields[0] == "OK" and extra_count is not None:
+        count = extra_count(fields)
+        size = _utf8_size(first) + 1 + 2 * count
+        while size <= MAX_REPLY_BYTES and len(extras) < count:
+            line = read_line()
+            size += _utf8_size(line) - 1
+            extras.append(line)
+        if size > MAX_REPLY_BYTES:
+            raise TransportError(f"response too large (over {MAX_REPLY_BYTES} bytes)")
+    if unread():
+        raise TransportError("response has lines after its end")
     return fields, extras
-
-
-def _least_reply_size(first: str, count: int) -> int:
-    """The fewest bytes a reply of `first` and `count` more lines takes,
-    each of those at least 2 ('-' and its LF), if that fits MAX_REPLY_BYTES.
-
-    A reply is read line by line while this, plus what each line read
-    takes beyond its 2 bytes, fits: so a count that cannot fit is refused
-    before a line is read, and no more than the bound is ever read.
-    """
-    return _within_reply_bound(_utf8_size(first) + 1 + 2 * count)
-
-
-def _within_reply_bound(size: int) -> int:
-    if size > MAX_REPLY_BYTES:
-        raise TransportError(f"response too large (over {MAX_REPLY_BYTES} bytes)")
-    return size
 
 
 def _roundtrip(
@@ -620,41 +621,37 @@ def _roundtrip(
     timeout: Optional[float],
     extra_count: Optional[Callable[[list[str]], int]] = None,
 ) -> tuple[list[str], list[str]]:
-    """Send one request line; return (first response fields, extra lines).
+    """Send one request line; return (first response fields, extra lines)
+    of an OK reply, or raise the client-side error of any other.
 
     A timeout of None is that of the resolution running on this thread,
     else DEFAULT_TIMEOUT.  A request a server sends while answering, to a
     server in this process, is a call to that server's answer function
-    instead (see _call_answer).
+    instead, whose lines are read as a connection's are (_read_reply).
     """
     try:
         bounded_lines([request])
     except LineTooLong as exc:
         raise TransportError(f"request {exc}") from None
-    if scope.answering:
-        answer = _answers.get(address)
-        if answer is not None:
-            return _call_answer(answer, request, extra_count)
+    if scope.answering and (answer := _answers.get(address)) is not None:
+        lines = iter(answer(request))
+        try:
+            fields, extras = _read_reply(
+                next(lines), lines.__next__, lambda: next(lines, None) is not None, extra_count
+            )
+        except StopIteration:
+            raise TransportError("response ended before its last line") from None
+        return _expect_ok(fields, request), extras
     if timeout is None:
         timeout = DEFAULT_TIMEOUT if scope.budget is None else scope.budget.ctx.timeout
     payload = (request + "\n").encode("utf-8")
     for attempt in (0, 1):
         conn, reused = _pool.acquire(address, timeout)
-        fields: Optional[list[str]] = None
+        first: Optional[str] = None
         try:
             conn.sock.sendall(payload)
             first = conn.read_line()
-            fields = first.split(" ")
-            extras: list[str] = []
-            if fields[0] == "OK" and extra_count is not None:
-                count = extra_count(fields)
-                size = _least_reply_size(first, count)
-                for _ in range(count):
-                    line = conn.read_line()
-                    size = _within_reply_bound(size + _utf8_size(line) - 1)
-                    extras.append(line)
-            _pool.release(address, conn)
-            return fields, extras
+            fields, extras = _read_reply(first, conn.read_line, conn.unread, extra_count)
         except OSError as exc:
             conn.close()
             # A pooled connection the peer closed while it sat idle fails
@@ -665,7 +662,7 @@ def _roundtrip(
             if (
                 reused
                 and attempt == 0
-                and fields is None
+                and first is None
                 and isinstance(exc, (BrokenPipeError, ConnectionResetError, _PeerClosed))
             ):
                 continue
@@ -677,16 +674,19 @@ def _roundtrip(
         except TransportError:
             conn.close()
             raise
+        # A whole reply with nothing after it: the connection is sound,
+        # whatever the reply says.
+        _pool.release(address, conn)
+        return _expect_ok(fields, request), extras
     raise TransportError(f"request to {address} failed")  # pragma: no cover
 
 
-def _expect_ok(fields: list[str], verb: str) -> list[str]:
-    if not fields:
-        raise TransportError(f"empty response to {verb}")
+def _expect_ok(fields: list[str], request: str) -> list[str]:
     if fields[0] == "OK":
         return fields
     if fields[0] == "ERR" and len(fields) >= 2:
         raise_wire_error(fields[1], " ".join(fields[2:]))
+    verb = request.partition(" ")[0]
     raise TransportError(f"unrecognized response to {verb}: {' '.join(fields)!r}")
 
 
@@ -696,13 +696,12 @@ def resolve_remote(
     """Ask the element at `address` to resolve `name` from a hosted resource."""
     request = f"RESOLVE {format_entity_id(resource_id)} {serialize_name(name)}"
     fields, _ = _roundtrip(address, request, timeout)
-    return parse_ok_resolution(_expect_ok(fields, "RESOLVE"))
+    return parse_ok_resolution(fields)
 
 
 def get_user(address: str, user_id: bytes, timeout: Optional[float] = None) -> tuple[str, str]:
     """Fetch a user record: (email, file collection URL prefix)."""
     fields, _ = _roundtrip(address, f"GETUSER {format_entity_id(user_id)}", timeout)
-    fields = _expect_ok(fields, "GETUSER")
     if len(fields) != 3 or not (whitespace_free(fields[1]) and whitespace_free(fields[2])):
         raise TransportError("malformed GETUSER response")
     return fields[1], fields[2]
@@ -711,7 +710,6 @@ def get_user(address: str, user_id: bytes, timeout: Optional[float] = None) -> t
 def occupancy(address: str, location_id: bytes, timeout: Optional[float] = None) -> list[bytes]:
     """List of user ids currently in the location, in arrival order."""
     fields, _ = _roundtrip(address, f"OCCUPANCY {format_entity_id(location_id)}", timeout)
-    fields = _expect_ok(fields, "OCCUPANCY")
     try:
         return parse_id_list(fields[1:])
     except ValueError as exc:
@@ -723,7 +721,7 @@ def set_occupancy(
 ) -> None:
     request = f"SETOCC {format_entity_id(location_id)} {format_id_list(user_ids)}"
     fields, _ = _roundtrip(address, request, timeout)
-    if _expect_ok(fields, "SETOCC") != ["OK"]:
+    if fields != ["OK"]:
         raise TransportError("malformed SETOCC response")
 
 
@@ -741,8 +739,7 @@ def query_events(
             raise TransportError("malformed EVENTS response") from None
 
     request = f"EVENTS {start} {end} {_event_tag(tag)}"
-    fields, extras = _roundtrip(address, request, timeout, extra_count=count)
-    _expect_ok(fields, "EVENTS")
+    _, extras = _roundtrip(address, request, timeout, extra_count=count)
     try:
         return [unhex_field(line) for line in extras]
     except ValueError as exc:

@@ -10,7 +10,8 @@ something else.
 
 Client calls run against canned reply lines in place of a socket: the
 stand-in for `wire._roundtrip` records the request line and answers with
-the reply split at LF, as `LineConnection` would frame it.
+the reply split at LF, as `LineConnection` would frame it, raising the
+client-side error of a reply that is not OK, as `_roundtrip` does.
 """
 
 from unittest import mock
@@ -41,9 +42,9 @@ def _exchange(call, reply):
 
     def roundtrip(address, request, timeout, extra_count=None):
         sent.append(request)
-        fields = lines[0].split(" ")
+        fields = wire._expect_ok(lines[0].split(" "), request)
         extras = []
-        if fields[0] == "OK" and extra_count is not None:
+        if extra_count is not None:
             extras = lines[1 : 1 + extra_count(fields)]
         return fields, extras
 

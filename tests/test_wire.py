@@ -1,3 +1,4 @@
+import contextlib
 import re
 import socket
 import threading
@@ -490,8 +491,9 @@ class _ScriptedPeer:
     `answer` gets the 1-based number of the request line over all
     connections and returns "reply" (send `reply`, a GETUSER answer by
     default, and keep the connection), "close" (send it, then close the
-    connection) or "silent" (never answer).  With `segment` set, the
-    reply goes out in segments of that many bytes, one at a time.
+    connection) or "silent" (never answer).  `reply` may also be a
+    function of that number.  With `segment` set, the reply goes out in
+    segments of that many bytes, one at a time.
     """
 
     def __init__(self, answer, reply=b"OK a@example.org file://h/a\n", segment=None):
@@ -525,12 +527,13 @@ class _ScriptedPeer:
                     with self._lock:
                         self.lines.append(line)
                         action = self.answer(len(self.lines))
+                        reply = self.reply(len(self.lines)) if callable(self.reply) else self.reply
                     if action == "silent":
                         continue
                     if self.segment is None:
-                        sock.sendall(self.reply)
+                        sock.sendall(reply)
                     else:
-                        _send_in_segments(sock, self.reply, self.segment)
+                        _send_in_segments(sock, reply, self.segment)
                     if action == "close":
                         return
             except ConnectionError:  # a client that refused a reply hung up on it
@@ -830,16 +833,103 @@ def test_reply_bound_is_max_reply_bytes_on_the_client(extra):
         peer.close()
 
 
+@contextlib.contextmanager
+def _cohosted(reply):
+    """An address whose requests `_roundtrip` answers with `reply` split
+    at LF, as a server of this process answers one it is sent while this
+    thread answers a request of its own."""
+    address = "cohosted.invalid:1"  # never connected to
+
+    def answer(request):
+        return reply.decode().split("\n")[:-1]
+
+    wire.host(address, answer)
+    resolver.scope.answering += 1
+    try:
+        yield address
+    finally:
+        resolver.scope.answering -= 1
+        wire.unhost(address, answer)
+
+
 @pytest.mark.parametrize("extra", [0, 1], ids=["max", "max+1"])
 def test_cohosted_reply_gets_the_reply_bound(extra):
-    lines = _reply_of_size(wire.MAX_REPLY_BYTES + extra).decode().split("\n")[:-1]
-    if extra:
+    reply = _reply_of_size(wire.MAX_REPLY_BYTES + extra)
+    with _cohosted(reply) as address:
+        if extra:
+            with pytest.raises(TransportError, match="too large"):
+                wire._roundtrip(address, "EVENTS 0 1 x", None, extra_count=_count)
+        else:
+            _, extras = wire._roundtrip(address, "EVENTS 0 1 x", None, extra_count=_count)
+            assert extras == reply.decode().split("\n")[1:-1]
+    with _cohosted(b"OK 1000000\n-\n") as address:  # a count that cannot fit
         with pytest.raises(TransportError, match="too large"):
-            wire._call_answer(lambda request: lines, "EVENTS 0 1 x", _count)
-    else:
-        assert wire._call_answer(lambda request: lines, "EVENTS 0 1 x", _count)[1] == lines[1:]
-    with pytest.raises(TransportError, match="too large"):  # a count that cannot fit
-        wire._call_answer(lambda request: ["OK 1000000", "-"], "EVENTS 0 1 x", _count)
+            wire._roundtrip(address, "EVENTS 0 1 x", None, extra_count=_count)
+
+
+def test_a_reply_with_lines_after_its_end_is_refused_and_its_connection_dropped():
+    # The second line of the first reply must not answer the second request.
+    replies = {
+        1: b"OK alice@example.org file://h/a\nOK mallory@example.org file://h/m\n",
+        2: b"OK bob@example.org file://h/b\n",
+    }
+    peer = _ScriptedPeer(lambda n: "reply", reply=replies.__getitem__)
+    try:
+        with pytest.raises(TransportError, match="after its end"):
+            wire.get_user(peer.address, b"\x01" * 16, timeout=5)
+        assert wire.get_user(peer.address, b"\x02" * 16, timeout=5) == ("bob@example.org", "file://h/b")
+        assert peer.connections == 2
+    finally:
+        peer.close()
+
+
+def test_an_err_reply_keeps_its_connection():
+    # INTERNAL is raised as a TransportError, as a refused reply is, but
+    # only once the sound connection is back in the pool.
+    replies = {1: b"ERR INTERNAL upstream failure\n", 2: b"OK bob@example.org file://h/b\n"}
+    peer = _ScriptedPeer(lambda n: "reply", reply=replies.__getitem__)
+    try:
+        with pytest.raises(TransportError, match="remote error INTERNAL"):
+            wire.get_user(peer.address, b"\x01" * 16, timeout=5)
+        assert wire.get_user(peer.address, b"\x02" * 16, timeout=5) == ("bob@example.org", "file://h/b")
+        assert peer.connections == 1
+    finally:
+        peer.close()
+
+
+_CALLS = {
+    "GETUSER": lambda address: wire.get_user(address, b"\x01" * 16, timeout=5),
+    "EVENTS": lambda address: wire.query_events(address, 0, 1, "x", timeout=5),
+}
+# Scripted replies, each with the call that reads it.
+_PARITY_REPLIES = [
+    ("GETUSER", b"OK a@example.org file://h/a\n"),
+    ("EVENTS", b"OK 3\n00\n-\n0102\n"),
+    *[("GETUSER", f"ERR {code} detail\n".encode()) for code in sorted({code for _, code, _ in wire._ERR_REPLIES})],
+    ("GETUSER", b"HELLO a@example.org file://h/a\n"),
+    ("EVENTS", b"OK 1000000\n-\n"),
+    ("GETUSER", b"OK a@example.org file://h/a\nOK m@example.org file://h/m\n"),
+    ("GETUSER", b"ERR NOTBOUND x\nOK m@example.org file://h/m\n"),
+    ("EVENTS", b"OK 1\n00\n-\n"),
+]
+
+
+def _outcome(call, address):
+    try:
+        return "value", _CALLS[call](address)
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+@pytest.mark.parametrize("call,reply", _PARITY_REPLIES)
+def test_a_reply_gets_the_same_result_over_a_socket_and_cohosted(call, reply):
+    peer = _ScriptedPeer(lambda n: "reply", reply=reply)
+    try:
+        over_a_socket = _outcome(call, peer.address)
+    finally:
+        peer.close()
+    with _cohosted(reply) as address:
+        assert _outcome(call, address) == over_a_socket
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["max", "max+1"])
